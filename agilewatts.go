@@ -432,24 +432,20 @@ const (
 // OverloadPolicies lists the built-in overload policy names.
 func OverloadPolicies() []string { return cluster.OverloadPolicies() }
 
-// ScenarioExecution groups the scenario engine-selection knobs: which
-// engine runs the epochs and how much statistical machinery rides
-// along.
+// ScenarioExecution groups the scenario engine's execution knobs: how
+// much statistical machinery rides along and how much per-node detail
+// the result keeps. The engine itself is always the same: every node
+// keeps one resumable instance for the whole scenario (a single warmup,
+// real park/unpark transitions), stepped epoch by epoch, with
+// bit-identical nodes collapsed into one live class.
 type ScenarioExecution struct {
-	// ColdEpochs selects the legacy cold-start scenario engine: every
-	// epoch re-creates every node simulation from scratch (one warmup
-	// per node per epoch, per-epoch mixed seeds, synthetic unpark
-	// penalty). The default warm path runs each node's whole timeline on
-	// one resumable instance — a single warmup per scenario, real
-	// park/unpark transitions, and one pipelined task per node.
-	ColdEpochs bool
 	// Replicas adds K seeded statistical replicas per timeline
 	// equivalence class: each class's representative is re-simulated K
 	// times under seeds drawn from a reserved plane disjoint from every
-	// node and epoch seed, and the result gains 95% confidence intervals
+	// node seed, and the result gains 95% confidence intervals
 	// (ScenarioResult.CI, EpochResult.CI) over fleet power, QPS-per-watt
 	// and worst p99. Point estimates are untouched — K=0 and K>0 report
-	// bit-identical central values. Warm path only. Replicas pay off with
+	// bit-identical central values. Replicas pay off with
 	// SharedSeeds, where a class stands for many nodes; on a
 	// distinct-seed fleet every class is a singleton and replicas only
 	// add cost.
@@ -460,30 +456,19 @@ type ScenarioExecution struct {
 	// collapses them to a handful of classes. Fleet-level sums, counts
 	// and weighted p99-spread quantiles are computed over the class
 	// multiset; sums reassociate, so they can differ from the expanded
-	// path in the last ulps when a class has multiplicity > 1. Warm path
-	// only.
+	// path in the last ulps when a class has multiplicity > 1.
 	CompactNodes bool
 }
 
-// ScenarioElasticity groups the fleet elasticity knobs: what a
-// park/unpark transition costs, and which control plane decides when to
-// make one.
+// ScenarioElasticity groups the fleet elasticity knobs: which control
+// plane decides when to park and unpark nodes. The transitions
+// themselves are simulated (drain, deep-idle residency, real exit
+// latency), so they carry no separate price.
 type ScenarioElasticity struct {
-	// UnparkLatencyNS / UnparkPowerW parameterize the cold path's
-	// synthetic penalty a parked node pays when load returns to it
-	// (defaults 1ms / 30W; zero means "default" — set UnparkFree for an
-	// explicitly free unpark). The warm path simulates the transition
-	// instead and ignores both.
-	UnparkLatencyNS Duration
-	UnparkPowerW    float64
-	// UnparkFree makes cold-path unparks explicitly free (both
-	// penalties zero), which the zero values above cannot express.
-	UnparkFree bool
 	// Controller selects the fleet autoscaling policy. The zero value
 	// keeps the open-loop plan (the schedule decides everything up
 	// front); a named or custom controller re-decides the active node
-	// count every epoch from the previous epoch's telemetry. Warm path
-	// only.
+	// count every epoch from the previous epoch's telemetry.
 	Controller ControllerSpec
 }
 
@@ -506,75 +491,21 @@ type ScenarioRun struct {
 	// EpochNS is the re-dispatch interval (default: one epoch spanning
 	// the whole schedule).
 	EpochNS Duration
-	// Execution groups the engine-selection knobs (cold vs warm engine,
-	// replicas, compact aggregation).
+	// Execution groups the execution knobs (replicas, compact
+	// aggregation).
 	Execution ScenarioExecution
-	// Elasticity groups the unpark-cost and autoscaling knobs.
+	// Elasticity groups the autoscaling knobs.
 	Elasticity ScenarioElasticity
 	// Faults injects node- and cluster-level faults into the run:
 	// crash/restart cycles, stragglers, thermal throttling, and a seeded
-	// correlated fault process. Warm path only; the zero value is a
-	// healthy fleet, bit-identical to a run without fault injection.
+	// correlated fault process. The zero value is a healthy fleet,
+	// bit-identical to a run without fault injection.
 	Faults FaultSpec
 	// Overload enables per-epoch admission control when the offered
 	// load exceeds the active fleet's capacity: shed, degrade or queue
-	// the excess (see OverloadSpec). Warm path only; the zero value
-	// disables it, bit-identical to a run without admission control.
+	// the excess (see OverloadSpec). The zero value disables it,
+	// bit-identical to a run without admission control.
 	Overload OverloadSpec
-
-	// UnparkLatencyNS is the cold path's synthetic unpark latency.
-	//
-	// Deprecated: set Elasticity.UnparkLatencyNS. This shim maps into
-	// the group (the group wins when both are set) and will be removed
-	// after one release of compatibility.
-	UnparkLatencyNS Duration
-	// UnparkPowerW is the cold path's synthetic unpark power.
-	//
-	// Deprecated: set Elasticity.UnparkPowerW. This shim maps into the
-	// group (the group wins when both are set) and will be removed after
-	// one release of compatibility.
-	UnparkPowerW float64
-	// UnparkFree makes cold-path unparks explicitly free.
-	//
-	// Deprecated: set Elasticity.UnparkFree. The flags are OR-ed during
-	// the compatibility release; this shim will then be removed.
-	UnparkFree bool
-	// ColdEpochs selects the legacy cold-start scenario engine.
-	//
-	// Deprecated: set Execution.ColdEpochs. The flags are OR-ed during
-	// the compatibility release; this shim will then be removed.
-	ColdEpochs bool
-	// Replicas adds K seeded replicas per timeline class.
-	//
-	// Deprecated: set Execution.Replicas. This shim maps into the group
-	// (the group wins when both are set) and will be removed after one
-	// release of compatibility.
-	Replicas int
-	// CompactNodes drops per-node detail from the results.
-	//
-	// Deprecated: set Execution.CompactNodes. The flags are OR-ed during
-	// the compatibility release; this shim will then be removed.
-	CompactNodes bool
-}
-
-// normalized folds the deprecated flat shims into the grouped fields:
-// a set group field wins over its shim, boolean flags are OR-ed, so
-// callers migrating field-by-field never lose a knob.
-func (r ScenarioRun) normalized() (ScenarioExecution, ScenarioElasticity) {
-	ex, el := r.Execution, r.Elasticity
-	ex.ColdEpochs = ex.ColdEpochs || r.ColdEpochs
-	if ex.Replicas == 0 {
-		ex.Replicas = r.Replicas
-	}
-	ex.CompactNodes = ex.CompactNodes || r.CompactNodes
-	if el.UnparkLatencyNS == 0 {
-		el.UnparkLatencyNS = r.UnparkLatencyNS
-	}
-	if el.UnparkPowerW == 0 {
-		el.UnparkPowerW = r.UnparkPowerW
-	}
-	el.UnparkFree = el.UnparkFree || r.UnparkFree
-	return ex, el
 }
 
 // scenarioConfig maps the run description onto the cluster scenario
@@ -603,25 +534,20 @@ func scenarioConfig(r ScenarioRun) (cluster.ScenarioConfig, error) {
 			return cluster.ScenarioConfig{}, err
 		}
 	}
-	ex, el := r.normalized()
 	// The template's Duration is irrelevant here: the scenario engine
 	// assigns every node its epoch window length per epoch.
 	return cluster.ScenarioConfig{
-		Nodes:         nodes,
-		Schedule:      sched,
-		Epoch:         r.EpochNS,
-		Dispatch:      run.ClusterDispatch,
-		TargetUtil:    run.TargetUtil,
-		ParkDrained:   run.ParkDrained,
-		ColdEpochs:    ex.ColdEpochs,
-		UnparkLatency: el.UnparkLatencyNS,
-		UnparkPowerW:  el.UnparkPowerW,
-		UnparkFree:    el.UnparkFree,
-		Controller:    el.Controller,
-		Replicas:      ex.Replicas,
-		CompactNodes:  ex.CompactNodes,
-		Faults:        r.Faults,
-		Overload:      r.Overload,
+		Nodes:        nodes,
+		Schedule:     sched,
+		Epoch:        r.EpochNS,
+		Dispatch:     run.ClusterDispatch,
+		TargetUtil:   run.TargetUtil,
+		ParkDrained:  run.ParkDrained,
+		Controller:   r.Elasticity.Controller,
+		Replicas:     r.Execution.Replicas,
+		CompactNodes: r.Execution.CompactNodes,
+		Faults:       r.Faults,
+		Overload:     r.Overload,
 	}, nil
 }
 
@@ -670,13 +596,13 @@ func NewServiceInstance(r ServiceRun, parkOnZeroRate bool) (*ServiceInstance, er
 }
 
 // RunnerStats reports the shared sweep executor's memoization counters
-// (cache hits and misses; uncacheable runs count as misses). Timeline
-// runs of the warm scenario path are included alongside one-shot
-// simulations, so sweep-level memoization wins are observable.
+// (cache hits and misses; uncacheable runs count as misses). Scenario
+// replica timelines are counted alongside one-shot simulations; class
+// representatives step on live cursors and never touch the cache.
 func RunnerStats() (hits, misses uint64) { return runner.Default().Stats() }
 
 // RunnerDedupStats reports the shared executor's equivalence-class
-// counters across warm scenario runs: nodes planned, timeline classes
+// counters across RunScenario calls: nodes planned, timeline classes
 // actually simulated, and replica runs added for error bars. A large
 // nodes-to-classes ratio is the class-dedup win (see
 // ClusterRun.SharedSeeds).

@@ -106,11 +106,10 @@ func TestSharedSeedScenarioCollapsesAndReportsCI(t *testing.T) {
 			ClusterDispatch: ClusterSpread,
 			SharedSeeds:     true,
 		},
-		Scenario:     ScenarioDiurnal,
-		TotalNS:      40_000_000,
-		EpochNS:      10_000_000,
-		Replicas:     2,
-		CompactNodes: true,
+		Scenario:  ScenarioDiurnal,
+		TotalNS:   40_000_000,
+		EpochNS:   10_000_000,
+		Execution: ScenarioExecution{Replicas: 2, CompactNodes: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -572,6 +573,11 @@ func (d *daemon) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Write(blob)
 }
 
+// maxRestoreBytes bounds a /v1/restore upload. A larger body is
+// refused with 413 rather than truncated, so an oversized checkpoint is
+// never mistaken for a corrupt one.
+const maxRestoreBytes = 64 << 20
+
 // handleRestore replaces the live fleet with the checkpoint in the
 // request body. The checkpoint must have been taken from this
 // scenario's configuration; a mismatch (or any corruption) rejects the
@@ -580,8 +586,14 @@ func (d *daemon) handleRestore(w http.ResponseWriter, r *http.Request) {
 	if !wantMethod(w, r, http.MethodPost) {
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRestoreBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			replyError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("checkpoint exceeds the %d-byte restore limit", maxRestoreBytes))
+			return
+		}
 		replyError(w, http.StatusBadRequest, err)
 		return
 	}

@@ -512,3 +512,70 @@ func TestDaemonWhatIfBounds(t *testing.T) {
 		t.Errorf("expired deadline: status %s, want 503", resp.Status)
 	}
 }
+
+// zeros is an endless stream of zero bytes, so an oversized upload is
+// generated as it is sent and never held in the test's memory.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestDaemonRestoreRejectsOversizedBody pins the restore size limit: a
+// body one byte over the limit is refused with 413 — not truncated and
+// then reported as a corrupt checkpoint — and the live fleet is left
+// exactly as it was.
+func TestDaemonRestoreRejectsOversizedBody(t *testing.T) {
+	d, query, admin := testDaemon(t, 0)
+	postJSON(t, admin.URL+"/v1/step?epochs=2", nil, nil)
+	var want statusReply
+	getJSON(t, query.URL+"/v1/status", &want)
+	d.mu.Lock()
+	before := d.live
+	d.mu.Unlock()
+
+	body := io.LimitReader(zeros{}, maxRestoreBytes+1)
+	resp, err := http.Post(admin.URL+"/v1/restore", "application/octet-stream", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized restore: status %s (%s), want 413", resp.Status, msg)
+	}
+	if !strings.Contains(string(msg), "restore limit") {
+		t.Errorf("413 body %q does not name the limit", msg)
+	}
+
+	d.mu.Lock()
+	after := d.live
+	d.mu.Unlock()
+	if after != before {
+		t.Error("oversized restore replaced the live fleet")
+	}
+	var got statusReply
+	getJSON(t, query.URL+"/v1/status", &got)
+	if got != want {
+		t.Errorf("status after rejected restore %+v, want %+v", got, want)
+	}
+}
+
+// TestNewServerTimeouts pins the listener hardening both servers share:
+// header and idle timeouts are set, the idle timeout stays far above a
+// load generator's ≤1 s gaps between requests, and nothing times out a
+// long-lived ?follow=1 stream or a large restore upload.
+func TestNewServerTimeouts(t *testing.T) {
+	srv := newServer("127.0.0.1:0", http.NewServeMux())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout < 30*time.Second {
+		t.Errorf("IdleTimeout = %v, want well above 1s (>= 30s)", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, ReadTimeout = %v, want 0 (streams and uploads are long-lived)",
+			srv.WriteTimeout, srv.ReadTimeout)
+	}
+}

@@ -110,8 +110,8 @@ func main() {
 		d.runClock(stop)
 		close(clockDone)
 	}()
-	query := &http.Server{Addr: *addr, Handler: d.queryMux()}
-	admin := &http.Server{Addr: *adminAddr, Handler: d.adminMux()}
+	query := newServer(*addr, d.queryMux())
+	admin := newServer(*adminAddr, d.adminMux())
 	go serve("admin", admin)
 	go serve("query", query)
 	fmt.Fprintf(os.Stderr, "awserved: scenario %q, %d epochs, query %s, admin %s, time-scale %g\n",
@@ -193,6 +193,27 @@ func selectScenario(path, name string) (string, agilewatts.ScenarioRun, error) {
 		label = "file"
 	}
 	return label, run, nil
+}
+
+// Connection timeouts shared by both listeners. ReadHeaderTimeout cuts
+// off a client that trickles its request headers; IdleTimeout reaps
+// keep-alive connections left idle, far above the ≤1 s gaps a load
+// generator leaves between requests. There is deliberately no
+// WriteTimeout (or ReadTimeout): /v1/telemetry?follow=1 streams stay
+// open for the life of the scenario, and a restore upload may be large.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds one of the daemon's HTTP servers.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func serve(which string, srv *http.Server) {

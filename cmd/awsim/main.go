@@ -70,15 +70,11 @@ func main() {
 			strings.Join(agilewatts.ScenarioNames(), "|"))
 	epochMS := flag.Int("epoch-ms", 0,
 		"scenario experiment re-dispatch interval in ms (default: schedule/12)")
-	coldEpochs := flag.Bool("cold-epochs", false,
-		"run the scenario experiment on the legacy cold-start engine "+
-			"(fresh simulations + synthetic unpark penalty per epoch) instead of "+
-			"the warm resumable-instance path")
 	replicas := flag.Int("replicas", 0,
 		"scenario experiment only: K seeded replicas per timeline equivalence "+
 			"class (shared node seeds, 95% CI note on the phase table)")
 	controller := flag.String("controller", "",
-		"scenario experiment fleet controller (closed-loop, warm path): "+
+		"scenario experiment fleet controller (closed-loop): "+
 			strings.Join(agilewatts.FleetControllers(), "|")+" (default: open-loop plan)")
 	ctrlUp := flag.Float64("ctrl-up", 0,
 		"reactive controller scale-up utilization threshold (default 0.75)")
@@ -140,7 +136,6 @@ func main() {
 	opts.ClusterDispatch = *clusterDispatch
 	opts.Scenario = *scenarioName
 	opts.Epoch = agilewatts.Duration(*epochMS) * 1_000_000
-	opts.ColdEpochs = *coldEpochs
 	opts.Replicas = *replicas
 	opts.Controller = *controller
 	opts.ControllerUpUtil = *ctrlUp

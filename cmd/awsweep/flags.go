@@ -10,7 +10,7 @@ import (
 // one on a plain rate sweep used to be silently ignored — the flag
 // parsed fine, the CSV came out, and the knob did nothing.
 var scenarioOnlyFlags = []string{
-	"epoch-ms", "cold-epochs", "replicas",
+	"epoch-ms", "replicas",
 	"controller", "ctrl-up", "ctrl-down", "ctrl-cooldown",
 	"overload", "overload-max-util", "overload-backlog-sec",
 }

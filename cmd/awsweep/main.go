@@ -70,15 +70,12 @@ func main() {
 			strings.Join(agilewatts.ScenarioNames(), "|"))
 	epochMS := flag.Int("epoch-ms", 0,
 		"scenario re-dispatch interval in ms (default: one epoch per schedule)")
-	coldEpochs := flag.Bool("cold-epochs", false,
-		"run scenarios on the legacy cold-start engine (fresh simulations + "+
-			"synthetic unpark penalty per epoch) instead of the warm resumable path")
 	replicas := flag.Int("replicas", 0,
 		"scenario sweeps only: K seeded replicas per timeline equivalence class; "+
 			"switches the fleet to shared node seeds (identical timelines collapse "+
 			"to one simulated class) and appends 95% CI columns to the CSV")
 	controller := flag.String("controller", "",
-		"scenario sweeps only: closed-loop fleet controller (warm path): "+
+		"scenario sweeps only: closed-loop fleet controller: "+
 			strings.Join(agilewatts.FleetControllers(), "|")+
 			"; appends a target_nodes column (default: open-loop plan)")
 	ctrlUp := flag.Float64("ctrl-up", 0,
@@ -96,8 +93,10 @@ func main() {
 	overloadBacklogSec := flag.Float64("overload-backlog-sec", 0,
 		"queue policy backlog bound, in seconds of full-fleet capacity (default 1.0)")
 	verbose := flag.Bool("v", false,
-		"print sweep-executor cache statistics (hits/misses, interval timeline "+
-			"runs included) to stderr after the sweep")
+		"print sweep-executor statistics to stderr after the sweep: cache "+
+			"hits/misses (one-shot runs and scenario replica timelines; class "+
+			"representatives step on live cursors, outside the cache) and "+
+			"scenario class dedup")
 	configs := flag.Bool("configs", false, "list configuration names and exit")
 	scenarioFile := flag.String("scenario-file", "",
 		"declarative scenario file (JSON: schedule + fleet + elasticity + faults); "+
@@ -146,9 +145,6 @@ func main() {
 	clustered := *nodes > 1 || *clusterDispatch != ""
 	if *replicas > 0 && !scenarioMode {
 		fatal(fmt.Errorf("-replicas requires -scenario (replicas are a scenario-engine feature)"))
-	}
-	if *replicas > 0 && *coldEpochs {
-		fatal(fmt.Errorf("-replicas requires the warm path (drop -cold-epochs)"))
 	}
 	if *controller != "" && !scenarioMode {
 		fatal(fmt.Errorf("-controller requires -scenario (controllers drive the scenario fleet)"))
@@ -203,7 +199,6 @@ func main() {
 				Scenario: *scenarioName,
 				EpochNS:  agilewatts.Duration(*epochMS) * 1_000_000,
 				Execution: agilewatts.ScenarioExecution{
-					ColdEpochs:   *coldEpochs,
 					Replicas:     *replicas,
 					CompactNodes: *replicas > 0,
 				},
@@ -295,7 +290,7 @@ func main() {
 		if total > 0 {
 			pct = float64(hits) / float64(total) * 100
 		}
-		fmt.Fprintf(os.Stderr, "awsweep: runner cache: %d hits / %d misses (%.1f%% hit rate, timeline runs included)\n",
+		fmt.Fprintf(os.Stderr, "awsweep: runner cache: %d hits / %d misses (%.1f%% hit rate, replica timelines included)\n",
 			hits, misses, pct)
 		if dnodes, classes, reps := agilewatts.RunnerDedupStats(); dnodes > 0 {
 			dpct := (1 - float64(classes)/float64(dnodes)) * 100

@@ -18,8 +18,13 @@
 //
 // -emit writes a machine-readable JSON snapshot of the -new medians
 // (ns/op, allocs/op when the run used -benchmem, sample counts, and —
-// when -base is given — the baseline median and speedup factor). The CI
-// bench job emits one per run as the repo's recorded perf trajectory.
+// when -base is given — the baseline median and speedup factor), headed
+// by the host the -new run measured: goos, goarch and cpu from the
+// bench header, GOMAXPROCS from the benchmark name's -N suffix, and the
+// Go version of the toolchain running benchgate (the same `go` that ran
+// the benchmarks in the Makefile and CI). The CI bench job emits one
+// per run as the repo's recorded perf trajectory; two snapshots are
+// only comparable when their host blocks match.
 package main
 
 import (
@@ -29,13 +34,26 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
 // benchLine matches "BenchmarkName-8  1234  567.8 ns/op [ 99 B/op  3 allocs/op ]".
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+([0-9.]+(?:e[+-]?\d+)?) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
+
+// host is the machine a bench run measured, as the bench output states
+// it. GOMAXPROCS is the -N suffix go test appends to benchmark names
+// (no suffix means 1).
+type host struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	GoVersion  string `json:"go_version"`
+}
 
 // sample is one benchmark line's measurements.
 type sample struct {
@@ -45,34 +63,52 @@ type sample struct {
 	hasMem bool
 }
 
-// parse returns benchmark name -> samples.
-func parse(path string) (map[string][]sample, error) {
+// parse returns benchmark name -> samples, and the host the header
+// lines and the first benchmark's suffix describe.
+func parse(path string) (map[string][]sample, host, error) {
+	h := host{GoVersion: runtime.Version()}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, h, err
 	}
 	defer f.Close()
 	out := make(map[string][]sample)
+	header := []struct {
+		prefix string
+		field  *string
+	}{{"goos: ", &h.GOOS}, {"goarch: ", &h.GOARCH}, {"cpu: ", &h.CPU}}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		m := benchLine.FindStringSubmatch(sc.Text())
+		line := sc.Text()
+		for _, hd := range header {
+			if v, ok := strings.CutPrefix(line, hd.prefix); ok && *hd.field == "" {
+				*hd.field = strings.TrimSpace(v)
+			}
+		}
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[2], 64)
+		v, err := strconv.ParseFloat(m[3], 64)
 		if err != nil {
 			continue
 		}
+		if h.GOMAXPROCS == 0 {
+			h.GOMAXPROCS = 1
+			if m[2] != "" {
+				h.GOMAXPROCS, _ = strconv.Atoi(m[2])
+			}
+		}
 		s := sample{nsOp: v}
-		if m[3] != "" {
-			s.bOp, _ = strconv.ParseFloat(m[3], 64)
-			s.allocs, _ = strconv.ParseFloat(m[4], 64)
+		if m[4] != "" {
+			s.bOp, _ = strconv.ParseFloat(m[4], 64)
+			s.allocs, _ = strconv.ParseFloat(m[5], 64)
 			s.hasMem = true
 		}
 		out[m[1]] = append(out[m[1]], s)
 	}
-	return out, sc.Err()
+	return out, h, sc.Err()
 }
 
 func medianOf(v []float64) float64 {
@@ -103,13 +139,14 @@ type emitEntry struct {
 	Speedup  *float64 `json:"speedup,omitempty"`
 }
 
-// emit writes the JSON perf snapshot.
-func emit(path string, newRuns, baseRuns map[string][]sample) error {
+// emit writes the JSON perf snapshot of newRuns, measured on h.
+func emit(path string, h host, newRuns, baseRuns map[string][]sample) error {
 	type doc struct {
 		Date       string               `json:"date"`
+		Host       host                 `json:"host"`
 		Benchmarks map[string]emitEntry `json:"benchmarks"`
 	}
-	d := doc{Date: time.Now().UTC().Format("2006-01-02"), Benchmarks: map[string]emitEntry{}}
+	d := doc{Date: time.Now().UTC().Format("2006-01-02"), Host: h, Benchmarks: map[string]emitEntry{}}
 	for name, ss := range newRuns {
 		e := emitEntry{NsOp: median(ss), Samples: len(ss)}
 		var allocs, bytes []float64
@@ -161,20 +198,20 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	newRuns, err := parse(*next)
+	newRuns, newHost, err := parse(*next)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
 	}
 	baseRuns := map[string][]sample{}
 	if *base != "" {
-		if baseRuns, err = parse(*base); err != nil {
+		if baseRuns, _, err = parse(*base); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate:", err)
 			os.Exit(2)
 		}
 	}
 	if *emitPath != "" {
-		if err := emit(*emitPath, newRuns, baseRuns); err != nil {
+		if err := emit(*emitPath, newHost, newRuns, baseRuns); err != nil {
 			fmt.Fprintln(os.Stderr, "benchgate: emit:", err)
 			os.Exit(2)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -24,7 +25,7 @@ BenchmarkRunScenarioWarm-8   	      10	 123456791 ns/op	 1000002 B/op	   20002 a
 BenchmarkRunScenario100K-8   	       1	3318566903 ns/op
 PASS
 `)
-	runs, err := parse(path)
+	runs, _, err := parse(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestEmitPartialWithoutBaseline(t *testing.T) {
 		"BenchmarkZeroed": {{nsOp: 0}},
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := emit(path, newRuns, baseRuns); err != nil {
+	if err := emit(path, host{GoVersion: "go1.24.0"}, newRuns, baseRuns); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -104,5 +105,61 @@ func TestEmitPartialWithoutBaseline(t *testing.T) {
 	}
 	if withMem.AllocsOp == nil || *withMem.AllocsOp != 7 || withMem.BytesOp == nil || *withMem.BytesOp != 640 {
 		t.Fatalf("benchmem medians not emitted: %+v", withMem)
+	}
+}
+
+// TestEmitRecordsHost pins the host block of the emitted snapshot
+// against a captured multi-package bench output: goos, goarch and cpu
+// come from the bench header, GOMAXPROCS from the -N name suffix, and
+// the Go version from the running toolchain.
+func TestEmitRecordsHost(t *testing.T) {
+	fixture := filepath.Join("testdata", "bench-micro.txt")
+	runs, h, err := parse(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := host{
+		GOOS:       "linux",
+		GOARCH:     "amd64",
+		CPU:        "Intel(R) Xeon(R) Processor @ 2.10GHz",
+		GOMAXPROCS: 2,
+		GoVersion:  runtime.Version(),
+	}
+	if h != want {
+		t.Fatalf("host = %+v, want %+v", h, want)
+	}
+	if len(runs["BenchmarkHistogramAdd"]) != 2 || len(runs["BenchmarkRunScenarioWarm"]) != 2 {
+		t.Fatalf("fixture samples not parsed across packages: %v", runs)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	if err := emit(path, h, runs, nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Host map[string]any `json:"host"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for field, v := range map[string]any{
+		"goos": "linux", "goarch": "amd64", "cpu": want.CPU,
+		"gomaxprocs": float64(2), "go_version": runtime.Version(),
+	} {
+		if doc.Host[field] != v {
+			t.Errorf("host.%s = %v, want %v", field, doc.Host[field], v)
+		}
+	}
+}
+
+// TestParseGOMAXPROCSOne pins the suffix rule: go test omits the -N
+// suffix when GOMAXPROCS is 1.
+func TestParseGOMAXPROCSOne(t *testing.T) {
+	path := writeBench(t, "one.txt", "BenchmarkX \t 10\t 5.0 ns/op\n")
+	if _, h, err := parse(path); err != nil || h.GOMAXPROCS != 1 {
+		t.Fatalf("GOMAXPROCS = %d (err %v), want 1", h.GOMAXPROCS, err)
 	}
 }

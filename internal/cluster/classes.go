@@ -34,11 +34,11 @@ type FleetCI struct {
 	WorstP99US CI
 }
 
-// timelineClass is one timeline equivalence class of the fleet: every
-// member node is a bit-identical simulation (same node fingerprint,
-// park flag and per-epoch rate timeline — the runner.TimelineKey), so
-// one representative run stands for all of them, plus K seeded replicas
-// for error bars.
+// timelineClass is one timeline equivalence class of the fleet, as
+// Live.Result packages it: every member node is a bit-identical
+// simulation (same node fingerprint, park flag and realized rate and
+// fault timeline), so one representative run stands for all of them,
+// plus K seeded replicas for error bars.
 type timelineClass struct {
 	// rep is the representative: the class's first member node index.
 	rep int
@@ -51,56 +51,17 @@ type timelineClass struct {
 	results [][]server.IntervalResult
 }
 
-// classifyTimelines groups the fleet into timeline equivalence classes
-// keyed by runner.TimelineKey, preserving fleet order (a class sits at
-// its first member's position). Uncacheable nodes (custom catalog,
-// trace hook, live profile) cannot prove equivalence by key and stay
-// singleton classes, which also makes a deliberately heterogeneous
-// fleet degrade gracefully to one class per node — exactly today's
-// behavior, with today's cost. Fault annotations (faults[e][i], nil on
-// healthy runs) are part of each interval and therefore of the class
-// key, so a faulted node can never collapse with a healthy one.
-func classifyTimelines(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault) []timelineClass {
-	classes := make([]timelineClass, 0, 16)
-	index := make(map[string]int, len(c.Nodes))
-	for i := range c.Nodes {
-		intervals := make([]runner.Interval, len(plan))
-		for e, pw := range plan {
-			intervals[e] = runner.Interval{Window: pw.end - pw.start, Rate: pw.rates[i]}
-			if faults != nil {
-				intervals[e].Fault = faults[e][i]
-			}
-		}
-		spec := runner.TimelineSpec{Node: c.Nodes[i], Park: c.ParkDrained, Intervals: intervals}
-		if key, ok := runner.TimelineKey(spec); ok {
-			if ci, seen := index[key]; seen {
-				classes[ci].members = append(classes[ci].members, i)
-				continue
-			}
-			index[key] = len(classes)
-		}
-		classes = append(classes, timelineClass{rep: i, members: []int{i}, spec: spec})
-	}
-	return classes
-}
-
-// runClasses executes every class representative plus its k seeded
-// replicas, each as one independent pipelined runner task. Replica r of
-// class c runs the representative's exact spec under seed
-// xrand.ClassReplicaSeed(c, r) — drawn from the plane disjoint from all
-// node and epoch-mixed seeds, so a replica can never alias a real
-// node's simulation in the memo cache.
-func runClasses(classes []timelineClass, k int, r *runner.Runner) error {
-	per := k + 1
-	for ci := range classes {
-		classes[ci].results = make([][]server.IntervalResult, per)
-	}
-	return r.Each(len(classes)*per, func(t int) error {
-		ci, rep := t/per, t%per
+// runReplicas runs the k seeded replicas of every class timeline: replica
+// rep of class ci re-runs the representative's realized spec under seed
+// xrand.ClassReplicaSeed(ci, rep) — drawn from the plane disjoint from
+// every node seed, so a replica can never alias a real node's
+// simulation in the memo cache — through the memoized RunTimeline.
+// Replica 0, the representative, is already in results[0].
+func runReplicas(classes []timelineClass, k int, r *runner.Runner) error {
+	return r.Each(len(classes)*k, func(t int) error {
+		ci, rep := t/k, t%k+1
 		spec := classes[ci].spec
-		if rep > 0 {
-			spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
-		}
+		spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
 		res, err := r.RunTimeline(spec)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d timeline (class %d replica %d): %w",

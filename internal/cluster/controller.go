@@ -11,9 +11,8 @@ import (
 // Controller names accepted by ControllerSpec.Name.
 const (
 	// ControllerOracle replays the precomputed epoch plan: every decision
-	// is the schedule-derived partition the open-loop path would have
-	// used, so an oracle run reproduces the open-loop results bit-for-bit
-	// while exercising the full closed-loop machinery. It is the
+	// is the schedule-derived partition an open-loop run uses, so an
+	// oracle run reproduces the open-loop results bit-for-bit. It is the
 	// never-wrong upper bound the paper's evaluation implicitly assumes.
 	ControllerOracle = "oracle"
 	// ControllerReactive sizes the fleet from measured utilization:

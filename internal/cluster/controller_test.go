@@ -22,13 +22,11 @@ func stripControllerFields(r ScenarioResult) ScenarioResult {
 	return r
 }
 
-// TestOracleControllerMatchesOpenLoopBitForBit is the incremental
-// engine's exactness proof: routing a scenario through the closed-loop
-// machinery with the oracle controller — live classes, per-epoch
-// telemetry sampling, split detection, post-run repackaging — must
-// reproduce the open-loop warm path bit-for-bit, in every mode
-// (expanded, compact, with replica CIs), because the oracle replays the
-// precomputed plan verbatim and everything else is bookkeeping.
+// TestOracleControllerMatchesOpenLoopBitForBit pins the oracle's
+// exactness: naming the oracle controller must reproduce the open-loop
+// run bit-for-bit, in every mode (expanded, compact, with replica CIs),
+// because the oracle replays the precomputed plan verbatim and only the
+// reported controller name and targets differ.
 func TestOracleControllerMatchesOpenLoopBitForBit(t *testing.T) {
 	node := quickNode(0)
 	node.Warmup = 5 * sim.Millisecond

@@ -16,7 +16,7 @@ const (
 	// instance is discarded (C-state, ring, RNG and collector warm state
 	// are lost) and the first healthy window afterwards rebuilds it cold
 	// under a restart-remixed seed, paying the configured restart
-	// penalty the way the cold path pays unpark.
+	// penalty.
 	FaultCrash = "crash"
 	// FaultStraggler inflates the node's sampled service times by
 	// Factor (> 1) for the window — the slow-node failure mode that
@@ -85,7 +85,7 @@ type FaultSpec struct {
 	// (default 35W; zero means "use the default").
 	RestartPowerW float64
 	// RestartFree makes restarts explicitly free: both penalties resolve
-	// to zero regardless of the fields above (mirroring UnparkFree).
+	// to zero regardless of the fields above.
 	RestartFree bool
 }
 
@@ -266,11 +266,10 @@ func applyFaultRates(c resolvedScenario, part func(Config) []float64, plan []epo
 }
 
 // applyRestartPenalty folds the synthetic restart cost into a restart
-// epoch, exactly the way the cold path folds its unpark penalty: each
-// rebuilt node burns restartPowerW for restartLatency before serving
-// (energy into the fleet power and total), and the latency floors the
-// epoch's worst p99 — the first requests routed to a booting node
-// waited at least that long.
+// epoch: each rebuilt node burns restartPowerW for restartLatency
+// before serving (energy into the fleet power and total), and the
+// latency floors the epoch's worst p99 — the first requests routed to a
+// booting node waited at least that long.
 func applyRestartPenalty(c resolvedScenario, ep *EpochResult, window sim.Time) {
 	if ep.Restarted == 0 {
 		return

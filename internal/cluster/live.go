@@ -11,20 +11,18 @@ import (
 	"repro/internal/snapbuf"
 )
 
-// Live is a warm fleet scenario stepped one epoch at a time under
-// caller control — the digital-twin engine behind the awserved daemon.
-// Where RunScenario executes the whole plan and returns, a Live holds
-// the fleet mid-scenario: Step advances it by one epoch (controller
-// decisions and fault plan applied exactly as RunScenario would),
-// StepTarget forces the next epoch's active-node target (the what-if
-// knob), Telemetry exposes each finished epoch's fleet sample, Fork
-// spawns an independent bit-identical copy, and Snapshot/RestoreLive
-// checkpoint the whole fleet across processes.
+// Live is a fleet scenario stepped one epoch at a time — the scenario
+// engine. RunScenario steps it to the end; the awserved digital twin
+// holds it mid-scenario: Step advances it by one epoch (controller
+// decisions, fault plan and admission control applied), StepTarget
+// forces the next epoch's active-node target (the what-if knob),
+// Telemetry exposes each finished epoch's fleet sample, Fork spawns an
+// independent bit-identical copy, and Snapshot/RestoreLive checkpoint
+// the whole fleet across processes.
 //
-// Determinism contract: a Live stepped to completion produces exactly
-// the ScenarioResult RunScenario returns for the same config (modulo
-// nothing — DeepEqual), and a fork's subsequent timeline is bit-
-// identical to its parent's. Both properties are pinned by tests.
+// Determinism contract: a fork's subsequent timeline is bit-identical
+// to its parent's, and a restored fleet's to the one checkpointed. Both
+// properties are pinned by tests.
 //
 // A Live is single-goroutine, like the instances it wraps.
 type Live struct {
@@ -53,16 +51,13 @@ type Live struct {
 	epoch    int
 }
 
-// NewLive builds the steppable fleet for the scenario config. Any
-// warm-path config RunScenario accepts is steppable; ColdEpochs is not
-// (its engine has no persistent per-node state to hold).
+// NewLive builds the steppable fleet for the scenario config: the epoch
+// plan, adjusted for crashed nodes and admission control, and the fleet
+// collapsed into its initial live classes.
 func NewLive(cfg ScenarioConfig) (*Live, error) {
 	c, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
-	}
-	if c.ColdEpochs {
-		return nil, fmt.Errorf("cluster: a live scenario needs the warm path (ColdEpochs is set)")
 	}
 	part, err := partitioner(c.Dispatch)
 	if err != nil {
@@ -72,11 +67,16 @@ func NewLive(cfg ScenarioConfig) (*Live, error) {
 	if r == nil {
 		r = runner.Default()
 	}
-	plan := planEpochs(c, part, c.total)
+	plan := planEpochs(c, part)
 	faults := c.faultPlan(plan)
 	if faults != nil {
+		// Crashed nodes serve nothing; re-partition their epochs' load
+		// over the survivors.
 		applyFaultRates(c, part, plan, faults)
 	}
+	// Admission control clips the plan after the fault adjustment, so
+	// capacity reflects crashed nodes. Controller-decided and forced
+	// epochs re-admit at step time against their own active set.
 	applyOverloadPlan(c, part, plan, faults)
 	l := &Live{
 		c:      c,
@@ -167,6 +167,9 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	target := l.target
 	var rates []float64
 	var acct overloadAccount
+	// Run-time admission: the active set is the capacity the policy
+	// admits against, so a consolidated fleet saturates before a fully
+	// unparked one would.
 	admitted := func(up []int) []float64 {
 		route := pw.rate
 		if l.adm != nil {
@@ -197,6 +200,8 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 			}
 		}
 	default:
+		// The controller decides against the finished epoch's telemetry:
+		// one full epoch of lag, the honest feedback regime.
 		if e > 0 {
 			target = clampTarget(l.ctrl.Observe(l.tels[e-1]), len(l.c.Nodes))
 		}
@@ -208,7 +213,7 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 		saturated: acct.saturated, shedded: acct.shedded, backlogReq: acct.backlogReq,
 	}
 	l.classes = splitByRate(l.classes, rates, frow)
-	if err := runControlledEpoch(l.classes, pw.end-pw.start, l.c, l.r); err != nil {
+	if err := stepClasses(l.classes, pw.end-pw.start, l.c.ParkDrained, l.r); err != nil {
 		return FleetTelemetry{}, err
 	}
 	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, len(l.c.Nodes))
@@ -222,11 +227,11 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	return tel, nil
 }
 
-// Result packages the epochs completed so far exactly as RunScenario
-// would: realized timelines become timeline classes, replicas add
-// seeded error bars, park/restart bookkeeping and phase aggregation run
-// downstream unchanged. A Live stepped to completion returns a result
-// DeepEqual to RunScenario's for the same config.
+// Result packages the epochs completed so far: the live classes, in
+// first-member order, become timeline classes over their realized
+// timelines, replicas add seeded error bars, and park/restart
+// bookkeeping and per-epoch/per-phase aggregation follow. A Live
+// stepped to completion returns exactly RunScenario's result.
 func (l *Live) Result() (ScenarioResult, error) {
 	if l.epoch == 0 {
 		return ScenarioResult{}, fmt.Errorf("cluster: live scenario has no completed epochs to report")
@@ -254,15 +259,11 @@ func (l *Live) Result() (ScenarioResult, error) {
 	out.Classes = len(tclasses)
 	out.ReplicaRuns = len(tclasses) * l.c.Replicas
 	if l.c.Replicas > 0 {
-		if err := runControlledReplicas(tclasses, l.c.Replicas, l.r); err != nil {
+		if err := runReplicas(tclasses, l.c.Replicas, l.r); err != nil {
 			return ScenarioResult{}, err
 		}
 	}
-	if l.c.CompactNodes {
-		warmEpochsCompact(l.c, realized, tclasses, &out)
-	} else {
-		warmEpochsExpanded(l.c, realized, tclasses, &out)
-	}
+	epochResults(l.c, realized, tclasses, &out)
 	out.CI = scenarioClassCI(tclasses, realized, l.c.Replicas)
 	if l.c.Controller.enabled() {
 		out.Controller = l.c.Controller.displayName()
@@ -281,8 +282,8 @@ func (l *Live) Result() (ScenarioResult, error) {
 
 // Fork returns an independent copy of the fleet at the current epoch
 // boundary. The copy shares nothing mutable with the parent: class
-// timelines are copied, warm cursors are rebuilt lazily by
-// deterministic prefix replay (the same mechanism a class split uses),
+// timelines are copied, cursors are rebuilt lazily by deterministic
+// prefix replay (replayPrefix, the same mechanism a class split uses),
 // and the controller is rebuilt by replaying its observation history.
 // Stepping the fork and the parent through identical futures yields
 // bit-identical measurements — what-if queries run on forks so the
@@ -340,25 +341,11 @@ func (l *Live) rebuildController() Controller {
 	return ctrl
 }
 
-// materialize rebuilds every class cursor that is lazily nil (fresh
-// forks, just-restored fleets) by prefix replay, in parallel.
+// materialize rebuilds every lazily nil class cursor (fresh forks,
+// just-restored fleets) by prefix replay, in parallel.
 func (l *Live) materialize() error {
 	return l.r.Each(len(l.classes), func(ci int) error {
-		cl := l.classes[ci]
-		if cl.ins != nil {
-			return nil
-		}
-		cur, err := runner.NewCursor(cl.node, l.c.ParkDrained)
-		if err != nil {
-			return fmt.Errorf("cluster: node %d snapshot replay: %w", cl.rep, err)
-		}
-		for i, iv := range cl.intervals {
-			if _, err := cur.Step(iv); err != nil {
-				return fmt.Errorf("cluster: node %d snapshot replay interval %d: %w", cl.rep, i, err)
-			}
-		}
-		cl.ins = cur
-		return nil
+		return l.classes[ci].replayPrefix(l.c.ParkDrained)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -53,9 +54,11 @@ func mustResult(t *testing.T, l *Live) ScenarioResult {
 }
 
 // TestLiveMatchesRunScenario is the live engine's identity anchor: a
-// Live stepped to completion must return the exact ScenarioResult
-// RunScenario computes for the same config — open-loop, controlled,
-// faulted, compact, and with replica CIs.
+// Live stepped to completion by hand must return the exact
+// ScenarioResult RunScenario computes for the same config — open-loop,
+// controlled, faulted, compact, and with replica CIs. Result is a pure
+// read: asking twice returns the same result, and only RunScenario
+// counts a run into the runner's class-dedup stats.
 func TestLiveMatchesRunScenario(t *testing.T) {
 	cases := []struct {
 		name string
@@ -76,9 +79,14 @@ func TestLiveMatchesRunScenario(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveScenario()
 			tc.mut(&cfg)
+			run := runner.New(0)
+			cfg.Runner = run
 			want, err := RunScenario(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if nodes, classes, _ := run.ClassStats(); nodes != 4 || classes != uint64(want.Classes) {
+				t.Errorf("RunScenario noted %d nodes / %d classes, want 4 / %d", nodes, classes, want.Classes)
 			}
 			l := mustLive(t, cfg)
 			if l.Epochs() != 8 {
@@ -88,6 +96,12 @@ func TestLiveMatchesRunScenario(t *testing.T) {
 			got := mustResult(t, l)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("live result diverged from RunScenario\n got %+v\nwant %+v", got, want)
+			}
+			if again := mustResult(t, l); !reflect.DeepEqual(again, got) {
+				t.Error("a second Result call diverged from the first")
+			}
+			if nodes, _, _ := run.ClassStats(); nodes != 4 {
+				t.Errorf("Live.Result counted into class stats: %d nodes noted, want 4", nodes)
 			}
 			if _, err := l.Step(); err == nil {
 				t.Error("Step past the last epoch succeeded")

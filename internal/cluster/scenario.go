@@ -16,103 +16,65 @@ import (
 // consolidation parks newly drained nodes as load falls and unparks
 // them as it returns.
 //
-// Two execution paths produce the per-epoch measurements:
-//
-//   - The warm path (default): every node runs its entire rate timeline
-//     on one resumable server.Instance — a single warmup for the whole
-//     scenario, engine/C-state/RNG state carried across epoch
-//     boundaries, and park/unpark simulated as real drain/deep-idle/
-//     exit-latency transitions. Each node's timeline is one independent
-//     pipelined runner task, so scenario wall-clock is the slowest
-//     node, not the sum of per-epoch maxima.
-//   - The cold path (ColdEpochs): the original epoch-stepped engine —
-//     every epoch re-creates every node simulation from scratch (per
-//     epoch warmup, seed mixed per epoch) and approximates unparks with
-//     the synthetic UnparkLatency/UnparkPowerW penalty. Kept bit-for-bit
-//     for reproducibility of existing goldens.
+// One engine runs every configuration: Live, stepped epoch by epoch.
+// Every node keeps one resumable server.Instance for the whole scenario
+// — a single warmup, engine/C-state/RNG state carried across epoch
+// boundaries, and park/unpark simulated as real drain/deep-idle/
+// exit-latency transitions. Nodes that are bit-identical simulations
+// share one live class, which splits the first epoch its members are
+// routed different rates or faults.
 type ScenarioConfig struct {
 	// Nodes are the per-node server configurations (see Config.Nodes).
-	// On the warm path each node's RatePerSec/Schedule/Duration are
-	// ignored (the epoch plan supplies them) and Warmup is paid once per
-	// scenario. On the cold path each node's Duration is overridden per
-	// epoch, Warmup is honored per epoch (re-dispatch reconvergence),
-	// and node i's epoch e runs with a seed mixed from (Seed_i, e) so
-	// epochs see independent randomness while epoch 0 reproduces the
-	// node's own seed exactly.
+	// Each node's RatePerSec/Schedule/Duration are ignored (the epoch
+	// plan supplies them) and Warmup is paid once per scenario.
 	Nodes []server.Config
 	// Schedule is the offered-load timeline partitioned across the fleet.
 	Schedule *scenario.Schedule
 	// Epoch is the re-dispatch interval (default: the whole schedule in
-	// one epoch — the degenerate case that reproduces the static Run).
+	// one epoch).
 	Epoch sim.Time
 	// Dispatch, TargetUtil and ParkDrained mirror Config.
 	Dispatch    string
 	TargetUtil  float64
 	ParkDrained bool
-	// ColdEpochs selects the legacy cold-start path (see above).
-	ColdEpochs bool
-	// UnparkLatency is the cold path's synthetic unpark cost: the time a
-	// parked node needs to come back (OS un-quiesce, package idle exit,
-	// service re-warm); requests routed to it during that window wait at
-	// least this long, so it floors the epoch's worst p99 (default 1ms;
-	// zero means "use the default" — set UnparkFree for an explicit
-	// free unpark). The warm path simulates the transition instead and
-	// ignores both knobs.
-	UnparkLatency sim.Time
-	// UnparkPowerW is the package power burned during the cold path's
-	// unpark flow (default 30W, the full two-socket uncore: the package
-	// is awake but doing no useful work yet; zero means "use the
-	// default").
-	UnparkPowerW float64
-	// UnparkFree makes unparks explicitly free on the cold path: both
-	// penalties resolve to zero regardless of the fields above. Without
-	// it, a zero UnparkLatency/UnparkPowerW silently means "default", so
-	// a free unpark would be unrepresentable.
-	UnparkFree bool
-	// Replicas is the number of extra seeded replicas the warm path
-	// simulates per timeline equivalence class (the K in "representative
-	// plus K replicas"). Each replica re-runs its class representative's
-	// exact timeline under a seed from the disjoint
-	// xrand.ClassReplicaSeed plane — never colliding with node or
-	// epoch-mixed seeds — and EpochResult.CI / ScenarioResult.CI then
-	// report 95% Student-t confidence intervals over the K+1 samples.
-	// Point estimates always come from the representatives alone, so
-	// setting Replicas adds error bars without perturbing any existing
-	// result bit. Warm path only (rejected with ColdEpochs).
+	// Replicas is the number of extra seeded replicas simulated per
+	// timeline equivalence class (the K in "representative plus K
+	// replicas"). Each replica re-runs its class representative's exact
+	// realized timeline under a seed from the disjoint
+	// xrand.ClassReplicaSeed plane — never colliding with node seeds —
+	// and EpochResult.CI / ScenarioResult.CI then report 95% Student-t
+	// confidence intervals over the K+1 samples. Point estimates always
+	// come from the representatives alone, so setting Replicas adds error
+	// bars without perturbing any existing result bit.
 	Replicas int
 	// Controller selects the fleet autoscaling policy (see
-	// ControllerSpec). The zero value keeps today's open-loop behavior:
-	// the epoch plan is computed once from the schedule and every node
-	// runs its precomputed timeline. A named controller routes the run
-	// through the incremental closed-loop engine instead, where each
-	// epoch's rate partition is decided at run time from the previous
-	// epoch's telemetry (the oracle replays the precomputed plan and so
-	// reproduces the open-loop results bit-for-bit). Warm path only
-	// (rejected with ColdEpochs).
+	// ControllerSpec). The zero value keeps the open-loop behavior: the
+	// epoch plan is computed once from the schedule and every epoch
+	// replays it. A named controller decides each epoch's rate partition
+	// at run time from the previous epoch's telemetry (the oracle replays
+	// the precomputed plan and so reproduces the open-loop results
+	// bit-for-bit).
 	Controller ControllerSpec
 	// Faults injects node- and cluster-level faults into the run:
 	// explicit per-node crash/straggler/thermal windows plus a seeded
 	// correlated fault process (see FaultSpec). The zero value is a
 	// healthy fleet and keeps every result bit-identical to a run that
-	// predates fault injection. Warm path only (rejected with
-	// ColdEpochs).
+	// predates fault injection.
 	Faults FaultSpec
 	// Overload enables per-epoch admission control: when the offered
 	// rate exceeds the active fleet's capacity (per-node capacity at
 	// MaxUtil, summed over the up, routed nodes), the excess is shed,
 	// queued or admitted-and-recorded per the policy (see OverloadSpec).
 	// The zero value disables admission control and keeps every result
-	// bit-identical to a run that predates it. Warm path only (rejected
-	// with ColdEpochs).
+	// bit-identical to a run that predates it.
 	Overload OverloadSpec
-	// CompactNodes makes the warm path skip per-node materialization:
+	// CompactNodes skips per-node materialization:
 	// EpochResult.Fleet.Nodes stays nil and fleet aggregation runs
 	// class-weighted in O(classes) per epoch instead of O(nodes) — the
 	// mode that keeps a 100K-node fleet's memory and aggregation cost
 	// proportional to its handful of equivalence classes. All
 	// fleet-level aggregates are computed from the same per-class
-	// measurements either way. Warm path only (rejected with
-	// ColdEpochs).
+	// measurements either way.
 	CompactNodes bool
 	// Runner executes the node simulations (default runner.Default()).
 	Runner *runner.Runner
@@ -124,8 +86,6 @@ type ScenarioConfig struct {
 // constructor.
 type resolvedScenario struct {
 	ScenarioConfig
-	unparkLatency  sim.Time
-	unparkPowerW   float64
 	restartLatency sim.Time
 	restartPowerW  float64
 	total          sim.Time
@@ -134,24 +94,17 @@ type resolvedScenario struct {
 // Normalize validates the configuration and resolves every defaultable
 // knob to its effective value, in one pass: dispatch policy, target
 // utilization, the epoch length (whole schedule when unset or
-// over-long), the cold path's unpark penalty (UnparkFree collapsing
-// both knobs to zero), and the controller's tuning defaults. It is the
-// single path behind RunScenario, Validate and the CLIs, so every
-// caller gets identical errors for identical mistakes.
+// over-long), the restart penalty (RestartFree collapsing both knobs to
+// zero), and the controller's and admission policy's tuning defaults.
+// It is the single path behind RunScenario, Validate and the CLIs, so
+// every caller gets identical errors for identical mistakes.
 func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
-	r := resolvedScenario{
-		ScenarioConfig: c,
-		unparkLatency:  c.UnparkLatency,
-		unparkPowerW:   c.UnparkPowerW,
-	}
+	r := resolvedScenario{ScenarioConfig: c}
 	if c.Schedule == nil {
 		return r, fmt.Errorf("cluster: scenario needs a schedule")
 	}
 	if c.Epoch < 0 {
 		return r, fmt.Errorf("cluster: negative epoch %d", c.Epoch)
-	}
-	if c.UnparkLatency < 0 || c.UnparkPowerW < 0 {
-		return r, fmt.Errorf("cluster: negative unpark penalty")
 	}
 	if c.Replicas < 0 {
 		return r, fmt.Errorf("cluster: negative replicas %d", c.Replicas)
@@ -159,18 +112,6 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	if c.Replicas >= xrand.MaxReplicas {
 		return r, fmt.Errorf("cluster: replicas %d exceed the seed plane's %d sub-blocks per class",
 			c.Replicas, xrand.MaxReplicas)
-	}
-	if c.ColdEpochs && (c.Replicas > 0 || c.CompactNodes) {
-		return r, fmt.Errorf("cluster: replicas and compact nodes need the warm path (ColdEpochs is set)")
-	}
-	if c.ColdEpochs && c.Controller.enabled() {
-		return r, fmt.Errorf("cluster: a fleet controller needs the warm path (ColdEpochs is set)")
-	}
-	if c.ColdEpochs && c.Faults.enabled() {
-		return r, fmt.Errorf("cluster: fault injection needs the warm path (ColdEpochs is set)")
-	}
-	if c.ColdEpochs && c.Overload.enabled() {
-		return r, fmt.Errorf("cluster: overload admission control needs the warm path (ColdEpochs is set)")
 	}
 	if c.Faults.RestartLatency < 0 || c.Faults.RestartPowerW < 0 {
 		return r, fmt.Errorf("cluster: negative restart penalty")
@@ -180,16 +121,6 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	}
 	if c.TargetUtil == 0 {
 		r.TargetUtil = defaultTargetUtil
-	}
-	if c.UnparkFree {
-		r.unparkLatency, r.unparkPowerW = 0, 0
-	} else {
-		if r.unparkLatency == 0 {
-			r.unparkLatency = sim.Millisecond
-		}
-		if r.unparkPowerW == 0 {
-			r.unparkPowerW = 30
-		}
 	}
 	r.restartLatency = c.Faults.RestartLatency
 	r.restartPowerW = c.Faults.RestartPowerW
@@ -232,15 +163,6 @@ func (c ScenarioConfig) Normalize() (resolvedScenario, error) {
 	return r, nil
 }
 
-// epochSeed mixes the epoch index into node seeds for the cold path —
-// now hosted in xrand alongside the class/replica seed plane, so the
-// disjointness of every seed consumer is proven in one place. Epoch 0
-// keeps the node's own seed; that identity is what makes the one-epoch
-// scenario reproduce the static Run bit-for-bit.
-func epochSeed(seed uint64, epoch int) uint64 {
-	return xrand.EpochSeed(seed, epoch)
-}
-
 // EpochResult is one re-dispatch interval's fleet measurement.
 type EpochResult struct {
 	// Epoch indexes the interval; [Start, End) is its schedule window.
@@ -257,12 +179,10 @@ type EpochResult struct {
 	// drained nodes whether or not parking is enabled.
 	Parked int
 	// Unparked counts nodes that were parked last epoch and received
-	// load this epoch; UnparkEnergyJ is the synthetic penalty energy
-	// they burned (already folded into Fleet.FleetPowerW/FleetEnergyJ).
-	// UnparkEnergyJ is a cold-path quantity: the warm path simulates the
-	// unpark (drain, deep-idle residency, real exit latency on the first
-	// post-unpark arrival), so its cost appears in the measured node
-	// results and this field stays zero.
+	// load this epoch. The unpark itself is simulated (drain, deep-idle
+	// residency, real exit latency on the first post-unpark arrival), so
+	// its cost appears in the measured node results and UnparkEnergyJ,
+	// kept for result-format stability, is always zero.
 	Unparked      int
 	UnparkEnergyJ float64
 	// Down counts nodes crashed (dark) for this epoch: nothing was
@@ -270,8 +190,7 @@ type EpochResult struct {
 	// rebuilt cold at the start of this epoch after a crash, and
 	// RestartEnergyJ is the synthetic restart penalty energy they burned
 	// (already folded into Fleet.FleetPowerW/FleetEnergyJ, with the
-	// restart latency flooring the epoch's worst p99 — the warm-path
-	// analogue of the cold path's unpark penalty fold).
+	// restart latency flooring the epoch's worst p99).
 	Down           int
 	Restarted      int
 	RestartEnergyJ float64
@@ -293,7 +212,7 @@ type EpochResult struct {
 	// CompactNodes its Nodes field stays nil.
 	Fleet Result
 	// CI holds the epoch's replica-ensemble 95% confidence intervals
-	// when ScenarioConfig.Replicas > 0 (warm path), nil otherwise.
+	// when ScenarioConfig.Replicas > 0, nil otherwise.
 	CI *FleetCI
 }
 
@@ -331,7 +250,7 @@ type ScenarioResult struct {
 	// Phases aggregates epochs by schedule phase, in first-seen order.
 	Phases []PhaseSummary
 
-	// FleetEnergyJ is total fleet energy including unpark penalties.
+	// FleetEnergyJ is total fleet energy including restart penalties.
 	FleetEnergyJ float64
 	// AvgFleetPowerW is the time-weighted mean fleet power.
 	AvgFleetPowerW float64
@@ -367,15 +286,14 @@ type ScenarioResult struct {
 	SheddedRequests float64
 	BacklogRate     float64
 
-	// Classes counts the timeline equivalence classes the warm path
-	// collapsed the fleet into (one per node when nothing collapses;
-	// zero on the cold path, which does not classify).
+	// Classes counts the timeline equivalence classes the fleet
+	// collapsed into (one per node when nothing collapses).
 	Classes int
 	// ReplicaRuns counts the extra seeded replica timelines executed
-	// (Classes x Replicas on the warm path).
+	// (Classes x Replicas).
 	ReplicaRuns int
 	// CI holds the whole-run replica-ensemble 95% confidence intervals
-	// when Replicas > 0 (warm path), nil otherwise.
+	// when Replicas > 0, nil otherwise.
 	CI *FleetCI
 }
 
@@ -389,9 +307,9 @@ func (c ScenarioConfig) Validate() error {
 
 // epochWindow is one planned re-dispatch interval: its schedule window,
 // mean rate, covering phase, and the per-node rate partition. The plan
-// depends only on the schedule and the dispatch policy — never on
-// simulation results — which is what lets the warm path hand every node
-// its entire timeline up front.
+// depends only on the schedule, the dispatch policy, the fault plan and
+// the admission policy — never on simulation results — so open-loop and
+// oracle runs replay it verbatim.
 type epochWindow struct {
 	start, end sim.Time
 	rate       float64
@@ -407,16 +325,16 @@ type epochWindow struct {
 
 // planEpochs partitions the schedule into epoch windows and each
 // window's mean rate across the nodes.
-func planEpochs(c resolvedScenario, part func(Config) []float64, total sim.Time) []epochWindow {
+func planEpochs(c resolvedScenario, part func(Config) []float64) []epochWindow {
 	var plan []epochWindow
 	for e := 0; ; e++ {
 		t0 := c.Epoch * sim.Time(e)
-		if t0 >= total {
+		if t0 >= c.total {
 			return plan
 		}
 		t1 := t0 + c.Epoch
-		if t1 > total {
-			t1 = total
+		if t1 > c.total {
+			t1 = c.total
 		}
 		window := t1 - t0
 		rate := c.Schedule.AvgRate(t0, t1)
@@ -449,87 +367,27 @@ func (c resolvedScenario) fleetConfig(rate float64) Config {
 }
 
 // RunScenario simulates the fleet under the time-varying schedule with
-// epoch-stepped re-dispatch: the schedule is partitioned into an epoch
-// plan up front, every node runs its share, park/unpark bookkeeping is
-// applied, and per-epoch, per-phase and whole-run views are aggregated.
-// The warm path (default) runs each node's entire timeline as one
-// resumable pipelined task; ColdEpochs selects the legacy re-simulate-
-// every-epoch engine (see ScenarioConfig).
+// epoch-stepped re-dispatch: it builds the Live fleet, steps it through
+// every epoch of the plan, and returns its Result, with per-epoch,
+// per-phase and whole-run views aggregated. The class-dedup counters
+// (runner.ClassStats) are noted here, once per run, rather than in
+// Live.Result, which a live fleet may be asked for many times.
 func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
-	c, err := cfg.Normalize()
+	l, err := NewLive(cfg)
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	part, err := partitioner(c.Dispatch)
+	for !l.Done() {
+		if _, err := l.Step(); err != nil {
+			return ScenarioResult{}, err
+		}
+	}
+	res, err := l.Result()
 	if err != nil {
 		return ScenarioResult{}, err
 	}
-	r := c.Runner
-	if r == nil {
-		r = runner.Default()
-	}
-	plan := planEpochs(c, part, c.total)
-	faults := c.faultPlan(plan)
-	if faults != nil {
-		// Crashed nodes serve nothing; re-partition their epochs' load
-		// over the survivors before any timeline is built.
-		applyFaultRates(c, part, plan, faults)
-	}
-	// Admission control clips the plan after the fault adjustment, so
-	// capacity reflects crashed nodes. The controlled path re-admits at
-	// run time against the controller's active set; the oracle replays
-	// these planned accounts.
-	applyOverloadPlan(c, part, plan, faults)
-	out := ScenarioResult{
-		Schedule:  c.Schedule.Name(),
-		Dispatch:  c.Dispatch,
-		Epoch:     c.Epoch,
-		TotalTime: c.total,
-		Overload:  c.Overload.Policy,
-	}
-	switch {
-	case c.ColdEpochs:
-		err = runScenarioCold(c, plan, r, &out)
-	case c.Controller.enabled():
-		err = runScenarioControlled(c, plan, faults, part, r, &out)
-	default:
-		err = runScenarioWarm(c, plan, faults, r, &out)
-	}
-	if err != nil {
-		return ScenarioResult{}, err
-	}
-	out.finish()
-	return out, nil
-}
-
-// runScenarioWarm executes the epoch plan on resumable instances,
-// class-collapsed: the fleet is first grouped into timeline equivalence
-// classes (runner.TimelineKey — bit-identical simulations), then one
-// representative timeline per class plus Replicas seeded replicas run
-// as independent pipelined runner tasks, and a per-epoch pass expands
-// the class measurements back into the fleet by multiplicity for
-// park/unpark bookkeeping and aggregation. Collapse is exact by
-// construction — members of a class are the *same* simulation — so a
-// fleet of singleton classes (distinct seeds, or a deliberately
-// heterogeneous fleet) reproduces the pre-collapse path bit-for-bit.
-// Unpark costs are simulated — drained requests, deep-idle residency,
-// real exit latencies — so no synthetic penalty is folded in and
-// EpochResult.UnparkEnergyJ stays zero.
-func runScenarioWarm(c resolvedScenario, plan []epochWindow, faults [][]runner.Fault, r *runner.Runner, out *ScenarioResult) error {
-	classes := classifyTimelines(c, plan, faults)
-	out.Classes = len(classes)
-	out.ReplicaRuns = len(classes) * c.Replicas
-	r.NoteClassDedup(len(c.Nodes), len(classes), out.ReplicaRuns)
-	if err := runClasses(classes, c.Replicas, r); err != nil {
-		return err
-	}
-	if c.CompactNodes {
-		warmEpochsCompact(c, plan, classes, out)
-	} else {
-		warmEpochsExpanded(c, plan, classes, out)
-	}
-	out.CI = scenarioClassCI(classes, plan, c.Replicas)
-	return nil
+	l.r.NoteClassDedup(len(l.c.Nodes), res.Classes, res.ReplicaRuns)
+	return res, nil
 }
 
 // newEpochResult seeds an epoch's result from its window, carrying the
@@ -545,66 +403,39 @@ func newEpochResult(e int, pw epochWindow) EpochResult {
 	return ep
 }
 
-// warmEpochsExpanded materializes every node's NodeResult from its
-// class representative — the full-detail default, bit-identical to the
-// historical per-node path.
-func warmEpochsExpanded(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
-	classOf := make([]int, len(c.Nodes))
-	for ci := range classes {
-		for _, i := range classes[ci].members {
-			classOf[i] = ci
-		}
-	}
-	parked := make([]bool, len(c.Nodes))
-	for e, pw := range plan {
-		ep := newEpochResult(e, pw)
-		nodes := make([]NodeResult, len(c.Nodes))
-		for i := range c.Nodes {
-			iv := classes[classOf[i]].results[0][e]
-			nodes[i] = NodeResult{Node: i, RateQPS: pw.rates[i], Parked: iv.Parked, Result: iv.Result}
-			if iv.Parked {
-				ep.Parked++
-			}
-			if iv.Down {
-				ep.Down++
-			}
-			if iv.Restarted {
-				ep.Restarted++
-			}
-			if parked[i] && pw.rates[i] > 0 {
-				ep.Unparked++
-			}
-			parked[i] = iv.Parked
-		}
-		ep.Fleet = aggregate(c.fleetConfig(pw.rate), nodes)
-		applyRestartPenalty(c, &ep, pw.end-pw.start)
-		ep.CI = epochClassCI(classes, e, c.Replicas)
-		out.Epochs = append(out.Epochs, ep)
-		out.ParkedTimeline = append(out.ParkedTimeline, ep.Parked)
-		out.Unparks += ep.Unparked
-		out.Restarts += ep.Restarted
-	}
-}
-
-// warmEpochsCompact skips per-node materialization entirely: park
-// bookkeeping and fleet aggregation run class-weighted in O(classes)
-// per epoch, and EpochResult.Fleet.Nodes stays nil. This is what makes
-// a 100K-node fleet a few-classes problem instead of a 2.4M-NodeResult
-// problem. Every class member shares its representative's rate and park
-// state by construction (both are part of the class key), so the
-// weighted counts are exact, not approximations.
-func warmEpochsCompact(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
+// epochResults builds every epoch's fleet result from the class
+// measurements. By default each node's NodeResult is materialized from
+// its class representative; with CompactNodes park bookkeeping and
+// fleet aggregation run class-weighted in O(classes) per epoch and
+// EpochResult.Fleet.Nodes stays nil — what makes a 100K-node fleet a
+// few-classes problem instead of a 2.4M-NodeResult problem. Every class
+// member shares its representative's rate, park and fault history by
+// construction, so the weighted counts are exact, not approximations.
+func epochResults(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
 	parked := make([]bool, len(classes))
 	for e, pw := range plan {
 		ep := newEpochResult(e, pw)
-		reps := make([]NodeResult, len(classes))
-		mults := make([]int, len(classes))
+		var nodes []NodeResult
+		var mults []int
+		if c.CompactNodes {
+			nodes = make([]NodeResult, len(classes))
+			mults = make([]int, len(classes))
+		} else {
+			nodes = make([]NodeResult, len(c.Nodes))
+		}
 		for ci := range classes {
 			cl := &classes[ci]
 			iv := cl.results[0][e]
 			m := len(cl.members)
-			reps[ci] = NodeResult{Node: cl.rep, RateQPS: pw.rates[cl.rep], Parked: iv.Parked, Result: iv.Result}
-			mults[ci] = m
+			rep := NodeResult{Node: cl.rep, RateQPS: pw.rates[cl.rep], Parked: iv.Parked, Result: iv.Result}
+			if c.CompactNodes {
+				nodes[ci], mults[ci] = rep, m
+			} else {
+				for _, i := range cl.members {
+					rep.Node = i
+					nodes[i] = rep
+				}
+			}
 			if iv.Parked {
 				ep.Parked += m
 			}
@@ -619,7 +450,11 @@ func warmEpochsCompact(c resolvedScenario, plan []epochWindow, classes []timelin
 			}
 			parked[ci] = iv.Parked
 		}
-		ep.Fleet = aggregateWeighted(c.fleetConfig(pw.rate), reps, mults)
+		if c.CompactNodes {
+			ep.Fleet = aggregateWeighted(c.fleetConfig(pw.rate), nodes, mults)
+		} else {
+			ep.Fleet = aggregate(c.fleetConfig(pw.rate), nodes)
+		}
 		applyRestartPenalty(c, &ep, pw.end-pw.start)
 		ep.CI = epochClassCI(classes, e, c.Replicas)
 		out.Epochs = append(out.Epochs, ep)
@@ -627,73 +462,6 @@ func warmEpochsCompact(c resolvedScenario, plan []epochWindow, classes []timelin
 		out.Unparks += ep.Unparked
 		out.Restarts += ep.Restarted
 	}
-}
-
-// runScenarioCold executes the epoch plan with the legacy cold-start
-// engine: a fleet barrier per epoch, a fresh simulation (and warmup) per
-// node per epoch, and the synthetic unpark penalty. Preserved bit-for-
-// bit — TestGoldenScenarioStability pins its fingerprints.
-func runScenarioCold(c resolvedScenario, plan []epochWindow, r *runner.Runner, out *ScenarioResult) error {
-	parked := make([]bool, len(c.Nodes))
-	for e, pw := range plan {
-		window := pw.end - pw.start
-		rates := pw.rates
-		ep := EpochResult{Epoch: e, Start: pw.start, End: pw.end, Phase: pw.phase, RateQPS: pw.rate}
-		nodes := make([]NodeResult, len(c.Nodes))
-		err := r.Each(len(c.Nodes), func(i int) error {
-			cfg := c.Nodes[i]
-			cfg.RatePerSec = rates[i]
-			cfg.Duration = window
-			cfg.Seed = epochSeed(cfg.Seed, e)
-			isParked := false
-			if c.ParkDrained && rates[i] == 0 {
-				cfg = park(cfg)
-				isParked = true
-			}
-			res, err := r.Run(cfg)
-			if err != nil {
-				return fmt.Errorf("cluster: epoch %d node %d: %w", e, i, err)
-			}
-			nodes[i] = NodeResult{Node: i, RateQPS: rates[i], Parked: isParked, Result: res}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-
-		// Park/unpark bookkeeping against the previous epoch's state.
-		for i := range nodes {
-			if nodes[i].Parked {
-				ep.Parked++
-			}
-			if parked[i] && rates[i] > 0 {
-				ep.Unparked++
-			}
-			parked[i] = nodes[i].Parked
-		}
-		ep.Fleet = aggregate(c.fleetConfig(pw.rate), nodes)
-		winSec := float64(window) / 1e9
-		if ep.Unparked > 0 {
-			// The unpark flow burns unparkPowerW for unparkLatency per
-			// node before any request is served; fold the energy into the
-			// epoch's fleet power, and floor the epoch's worst p99 with
-			// the latency the first routed requests had to absorb.
-			ep.UnparkEnergyJ = float64(ep.Unparked) * float64(c.unparkLatency) / 1e9 * c.unparkPowerW
-			ep.Fleet.FleetEnergyJ += ep.UnparkEnergyJ
-			ep.Fleet.FleetPowerW += ep.UnparkEnergyJ / winSec
-			if ep.Fleet.FleetPowerW > 0 {
-				ep.Fleet.QPSPerWatt = ep.Fleet.CompletedPerSec / ep.Fleet.FleetPowerW
-			}
-			if lat := float64(c.unparkLatency) / 1e3; ep.Fleet.WorstP99US < lat {
-				ep.Fleet.WorstP99US = lat
-			}
-		}
-
-		out.Epochs = append(out.Epochs, ep)
-		out.ParkedTimeline = append(out.ParkedTimeline, ep.Parked)
-		out.Unparks += ep.Unparked
-	}
-	return nil
 }
 
 // finish derives the per-phase and whole-run aggregates from the epochs.

@@ -31,45 +31,6 @@ func TestWarmOneEpochSpreadMatchesStaticRun(t *testing.T) {
 	}
 }
 
-// TestWarmDeterministicAndDistinctFromCold pins that the warm path is
-// reproducible, and that it is a genuinely different engine from the
-// cold path (continuous state vs per-epoch cold starts) — while both
-// agree on the schedule bookkeeping (windows, rates, phases).
-func TestWarmDeterministicAndDistinctFromCold(t *testing.T) {
-	nodes := Homogeneous(2, quickNode(0))
-	sched := mustSchedule(scenario.ByName(scenario.NameRamp, 300e3, 100*sim.Millisecond))
-	cfg := ScenarioConfig{Nodes: nodes, Schedule: sched, Epoch: 25 * sim.Millisecond}
-	a := runScenario(t, cfg)
-	b := runScenario(t, cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("warm scenario run not deterministic")
-	}
-	cold := cfg
-	cold.ColdEpochs = true
-	c := runScenario(t, cold)
-	if len(a.Epochs) != len(c.Epochs) {
-		t.Fatalf("warm %d epochs vs cold %d", len(a.Epochs), len(c.Epochs))
-	}
-	for e := range a.Epochs {
-		aw, cw := a.Epochs[e], c.Epochs[e]
-		if aw.Start != cw.Start || aw.End != cw.End || aw.RateQPS != cw.RateQPS || aw.Phase != cw.Phase {
-			t.Errorf("epoch %d plan diverged: warm [%d,%d)@%v/%s, cold [%d,%d)@%v/%s",
-				e, aw.Start, aw.End, aw.RateQPS, aw.Phase, cw.Start, cw.End, cw.RateQPS, cw.Phase)
-		}
-	}
-	// Beyond epoch 0 the engines must differ: cold re-warms from mixed
-	// seeds, warm continues one simulation.
-	same := true
-	for e := 1; e < len(a.Epochs); e++ {
-		if a.Epochs[e].Fleet.FleetPowerW != c.Epochs[e].Fleet.FleetPowerW {
-			same = false
-		}
-	}
-	if same {
-		t.Error("warm and cold paths produced identical per-epoch power — cold path not actually distinct")
-	}
-}
-
 // TestWarmDiurnalConsolidateParksAndUnparksForReal is the warm path's
 // headline behavior: over a diurnal day with consolidate+park, the
 // parked timeline follows the load, and the park/unpark transitions are
@@ -151,64 +112,6 @@ func TestWarmDiurnalConsolidateParksAndUnparksForReal(t *testing.T) {
 	}
 	if trough.AvgFleetPowerW >= peak.AvgFleetPowerW {
 		t.Errorf("trough power %v not below peak power %v", trough.AvgFleetPowerW, peak.AvgFleetPowerW)
-	}
-}
-
-// TestUnparkFreeRepresentable is the zero-value footgun regression: an
-// explicit free unpark must be expressible on the cold path — no energy
-// penalty charged and no p99 floor — while the zero value still means
-// "default 1ms/30W".
-func TestUnparkFreeRepresentable(t *testing.T) {
-	node := quickNode(0)
-	node.Duration = 30 * sim.Millisecond
-	node.Warmup = 5 * sim.Millisecond
-	nodes := Homogeneous(4, node)
-	total := 120 * sim.Millisecond
-	sched := mustSchedule(scenario.Spike(600e3, 6, total, total/3, total/3))
-	base := ScenarioConfig{
-		Nodes:       nodes,
-		Schedule:    sched,
-		Epoch:       total / 3,
-		Dispatch:    DispatchConsolidate,
-		ParkDrained: true,
-		ColdEpochs:  true,
-	}
-	defaulted := runScenario(t, base)
-	if defaulted.Unparks == 0 {
-		t.Fatal("spike produced no unparks")
-	}
-	var defaultPenalty float64
-	for _, ep := range defaulted.Epochs {
-		defaultPenalty += ep.UnparkEnergyJ
-	}
-	if defaultPenalty <= 0 {
-		t.Fatal("zero-value unpark fields no longer default to a nonzero penalty")
-	}
-	free := base
-	free.UnparkFree = true
-	freeRes := runScenario(t, free)
-	if freeRes.Unparks != defaulted.Unparks {
-		t.Fatalf("free-unpark run diverged in unpark count: %d vs %d", freeRes.Unparks, defaulted.Unparks)
-	}
-	for _, ep := range freeRes.Epochs {
-		if ep.UnparkEnergyJ != 0 {
-			t.Errorf("epoch %d charged %vJ with UnparkFree", ep.Epoch, ep.UnparkEnergyJ)
-		}
-		if ep.Unparked > 0 && ep.Fleet.WorstP99US >= 1000 &&
-			defaulted.Epochs[ep.Epoch].Fleet.WorstP99US == 1000 {
-			t.Errorf("epoch %d p99 still floored at the 1ms default with UnparkFree", ep.Epoch)
-		}
-	}
-	// UnparkFree also beats explicit nonzero fields, documented-wins.
-	if resolved, err := free.Normalize(); err != nil {
-		t.Fatalf("Normalize(free): %v", err)
-	} else if resolved.unparkLatency != 0 || resolved.unparkPowerW != 0 {
-		t.Errorf("UnparkFree resolved to %v/%v, want 0/0", resolved.unparkLatency, resolved.unparkPowerW)
-	}
-	if resolved, err := base.Normalize(); err != nil {
-		t.Fatalf("Normalize(base): %v", err)
-	} else if resolved.unparkLatency != sim.Millisecond || resolved.unparkPowerW != 30 {
-		t.Errorf("zero-value fields resolved to %v/%v, want 1ms/30W", resolved.unparkLatency, resolved.unparkPowerW)
 	}
 }
 

@@ -64,22 +64,18 @@ type Options struct {
 	// Epoch is the scenario experiment's fleet re-dispatch interval
 	// (default Duration/12 — one epoch per diurnal segment).
 	Epoch sim.Time
-	// ColdEpochs runs the scenario experiment on the legacy cold-start
-	// engine (fresh node simulations every epoch, synthetic unpark
-	// penalty) instead of the default warm resumable-instance path.
-	ColdEpochs bool
 	// Replicas adds K seeded statistical replicas per timeline
 	// equivalence class to the scenario experiment and attaches 95%
 	// confidence intervals to its fleet observables. Setting it switches
 	// the fleet to shared node seeds (so identical timelines collapse to
 	// one class and the replicas carry the variance story) and to the
-	// compact O(classes) collector. Warm path only.
+	// compact O(classes) collector.
 	Replicas int
 	// Controller routes the scenario experiment's Baseline/AW comparison
 	// through the named closed-loop fleet controller (oracle, reactive
 	// or predictive; see cluster.Controllers) instead of the default
-	// open-loop plan. Warm path only. The controller comparison table
-	// always sweeps all three regardless of this setting.
+	// open-loop plan. The controller comparison table always sweeps all
+	// three regardless of this setting.
 	Controller string
 	// ControllerUpUtil and ControllerDownUtil override the reactive
 	// controller's hysteresis deadband (defaults 0.75 and 0.40): the

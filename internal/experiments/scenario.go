@@ -116,7 +116,6 @@ func Scenario(o Options) (ScenarioExpResult, error) {
 			Epoch:        epoch,
 			Dispatch:     dispatch,
 			ParkDrained:  dispatch == cluster.DispatchConsolidate,
-			ColdEpochs:   o.ColdEpochs,
 			Replicas:     o.Replicas,
 			CompactNodes: o.Replicas > 0,
 			Controller:   o.controllerSpec(o.Controller),

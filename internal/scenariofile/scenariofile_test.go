@@ -67,6 +67,12 @@ func TestParseRejects(t *testing.T) {
 			"both a named shape and explicit phases",
 		},
 		{"neither shape nor phases", `{"schedule": {}}`, "needs a named shape or explicit phases"},
+		// Keys of the removed cold-start engine: an old file fails loudly
+		// instead of silently running on a different engine.
+		{"removed cold_epochs key", `{"schedule": {"shape": "constant"}, "execution": {"cold_epochs": true}}`, `unknown field "cold_epochs"`},
+		{"removed unpark_latency_ms key", `{"schedule": {"shape": "constant"}, "elasticity": {"unpark_latency_ms": 1}}`, `unknown field "unpark_latency_ms"`},
+		{"removed unpark_power_w key", `{"schedule": {"shape": "constant"}, "elasticity": {"unpark_power_w": 30}}`, `unknown field "unpark_power_w"`},
+		{"removed unpark_free key", `{"schedule": {"shape": "constant"}, "elasticity": {"unpark_free": true}}`, `unknown field "unpark_free"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

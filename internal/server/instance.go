@@ -29,11 +29,10 @@ import (
 // state (paying real exit/entry flows on the way down), OS housekeeping
 // goes tickless, and the package idle model engages. When load returns,
 // the first arrivals find their cores in deep idle and pay the measured
-// exit latency — the physical cost the cluster layer's cold path
-// modeled with a synthetic UnparkLatency/UnparkPowerW bolt-on.
+// exit latency, so an unpark's cost is measured, not priced.
 //
 // An Instance is not safe for concurrent use; run each instance from
-// one goroutine (the cluster layer gives every node its own).
+// one goroutine (the cluster layer gives every live class its own).
 type Instance struct {
 	s       *Sim
 	park    bool

@@ -47,10 +47,10 @@ func (s *SeedBlocks) Next(start uint64) uint64 {
 //
 //   - node seeds stay below 2^32 (and SeedBlocks blocks, started from
 //     such seeds, below 2^32 + 2^26), far under ClassSeedBase = 2^62;
-//   - epoch-mixed seeds (seed XOR epoch·golden-ratio-stride, see
-//     EpochSeed) never land in the plane for epochs < 2^12, because the
-//     XOR with a sub-2^32 seed only perturbs the low 32 bits and no
-//     stride multiple falls within 2^32 of the plane;
+//   - restart-remixed seeds (seed XOR n·stride, see RestartSeed) never
+//     land in the plane for restart counts < 2^12, because the XOR
+//     with a sub-2^32 seed only perturbs the low 32 bits and no stride
+//     multiple falls within 2^32 of the plane;
 //   - distinct (class, replica) pairs never share a seed by construction.
 const (
 	// ClassSeedBase is the origin of the class/replica plane.
@@ -76,7 +76,7 @@ func ClassReplicaSeed(class, replica int) uint64 {
 }
 
 // Seed-plane map. Every consumer of deterministic randomness in the
-// repository draws from one of five reserved, mutually disjoint regions
+// repository draws from one of four reserved, mutually disjoint regions
 // of the 64-bit seed space; the disjointness proofs live in this
 // package (TestClassReplicaPlaneDisjoint, TestFaultPlaneDisjoint) so a
 // new plane cannot silently collide with an old one:
@@ -84,8 +84,6 @@ func ClassReplicaSeed(class, replica int) uint64 {
 //	plane          region                              consumer
 //	-----          ------                              --------
 //	node           [0, 2^32)                           raw per-node Config.Seed values
-//	epoch          seed ^ epoch·EpochSeedStride        cold-path per-epoch reseeding
-//	                                                   (epochs < 2^12; epoch 0 = identity)
 //	sweep-block    SeedBlocks.Next: start + k·2^20     benchmark-harness iteration blocks
 //	class-replica  [2^62, 2^62 + 2^40)                 ClassReplicaSeed: timeline-class
 //	                                                   statistical replicas
@@ -97,27 +95,12 @@ func ClassReplicaSeed(class, replica int) uint64 {
 // node is still that node, just with a fresh RNG history, and the remix
 // never equals the original seed for restart counts >= 1.
 
-// EpochSeedStride is the golden-ratio stride the cluster layer's cold
-// path mixes epoch indices with (XORed, so epoch 0 keeps the node's own
-// seed). It lives here so the disjointness proof over every seed
-// consumer — raw node seeds, epoch-mixed seeds, SeedBlocks blocks, the
-// class/replica plane, and the fault plane — is stated (and
-// regression-tested) in one package.
-const EpochSeedStride = 0x9e3779b97f4a7c15
-
-// EpochSeed mixes an epoch index into a node seed: seed ^ epoch·stride.
-// Epoch 0 is the identity, which is what lets a one-epoch scenario
-// reproduce a static run bit-for-bit.
-func EpochSeed(seed uint64, epoch int) uint64 {
-	return seed ^ uint64(epoch)*EpochSeedStride
-}
-
 // FaultSeedBase is the origin of the fault seed plane: the reserved
 // region [2^61, 2^61 + 2^20) feeding the cluster layer's correlated
 // fault process. It sits below the class/replica plane (2^62) and far
 // above everything derived from node seeds, so a fault draw can never
-// replay a node's, an epoch's, or a replica's random stream (see the
-// seed-plane map above and TestFaultPlaneDisjoint).
+// replay a node's or a replica's random stream (see the seed-plane map
+// above and TestFaultPlaneDisjoint).
 const FaultSeedBase uint64 = 1 << 61
 
 // FaultSeed maps a user-chosen fault-process seed into the fault plane.
@@ -129,9 +112,7 @@ func FaultSeed(seed uint64) uint64 {
 }
 
 // RestartSeedStride is the splitmix64 mixing constant used to remix a
-// node seed after a crash/restart. It is deliberately a different
-// odd constant from EpochSeedStride so a restarted node's RNG history
-// cannot collide with any epoch-mixed stream of the same node.
+// node seed after a crash/restart.
 const RestartSeedStride = 0xbf58476d1ce4e5b9
 
 // RestartSeed derives the seed for the n-th rebuild of a crashed node:

@@ -6,8 +6,8 @@ import (
 	"repro/internal/server"
 )
 
-// LiveScenario is a warm fleet scenario stepped one epoch at a time
-// under caller control — the interactive form of RunScenario. Step
+// LiveScenario is a fleet scenario stepped one epoch at a time under
+// caller control — the engine RunScenario steps to the end. Step
 // advances the controller-driven (or plan-driven) fleet one epoch and
 // returns its telemetry; StepTarget forces the next epoch's active-node
 // target (the what-if override); Fork copies the fleet into an
@@ -19,7 +19,6 @@ type LiveScenario = cluster.Live
 // NewLiveScenario builds the steppable fleet for the run description.
 // The description is mapped and validated exactly as RunScenario maps
 // it, so any description RunScenario accepts steps identically here.
-// Cold-epoch runs are rejected: stepping needs the warm path.
 func NewLiveScenario(r ScenarioRun) (*LiveScenario, error) {
 	cfg, err := scenarioConfig(r)
 	if err != nil {

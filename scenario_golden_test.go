@@ -10,12 +10,10 @@ import (
 
 // The scenario goldens extend TestGoldenPipelineStability to the
 // time-varying engine: named scenario configs are pinned as exact
-// hex-float fingerprints on both execution paths — the legacy cold
-// engine (ColdEpochs, fingerprints unchanged since the scenario
-// engine's introduction) and the warm resumable-instance engine
-// (fingerprints captured when it landed) — and the degenerate constant
-// schedule is asserted to reproduce the stationary simulator
-// bit-for-bit at both the server and the cluster level.
+// hex-float fingerprints of the resumable-instance engine (captured
+// when it landed), and the degenerate constant schedule is asserted to
+// reproduce the stationary simulator bit-for-bit at both the server and
+// the cluster level.
 //
 // Regenerate with:
 //
@@ -27,42 +25,11 @@ import (
 // goldenScenarioCases must produce the exact fingerprints in
 // goldenScenarioWant. Small fleets and short windows keep them fast;
 // every engine feature is on (consolidate, parking, epoch stepping,
-// unpark transitions — synthetic on the cold path, simulated on the
-// warm path).
+// simulated unpark transitions).
 var goldenScenarioCases = []struct {
 	name string
 	run  ScenarioRun
 }{
-	{"diurnal-3node-consolidate", ScenarioRun{
-		ClusterRun: ClusterRun{
-			ServiceRun: ServiceRun{
-				Platform: AW, RateQPS: 1800e3,
-				DurationNS: 60_000_000, WarmupNS: 5_000_000, Seed: 5,
-			},
-			Nodes:           3,
-			ClusterDispatch: ClusterConsolidate,
-			ParkDrained:     true,
-		},
-		Scenario:   ScenarioDiurnal,
-		TotalNS:    60_000_000,
-		EpochNS:    15_000_000,
-		ColdEpochs: true,
-	}},
-	{"spike-2node-spread-bursty", ScenarioRun{
-		ClusterRun: ClusterRun{
-			ServiceRun: ServiceRun{
-				Platform: Baseline, RateQPS: 300e3,
-				DurationNS: 60_000_000, WarmupNS: 5_000_000, Seed: 9,
-				LoadGen: LoadBursty,
-			},
-			Nodes:           2,
-			ClusterDispatch: ClusterSpread,
-		},
-		Scenario:   ScenarioSpike,
-		TotalNS:    60_000_000,
-		EpochNS:    20_000_000,
-		ColdEpochs: true,
-	}},
 	{"warm-diurnal-3node-consolidate", ScenarioRun{
 		ClusterRun: ClusterRun{
 			ServiceRun: ServiceRun{
@@ -94,10 +61,8 @@ var goldenScenarioCases = []struct {
 }
 
 // goldenScenarioWant maps case name to the exact fingerprint, captured
-// by a GOLDEN_PRINT run at the scenario engine's introduction.
+// by a GOLDEN_PRINT run when the resumable-instance engine landed.
 var goldenScenarioWant = map[string]string{
-	"diurnal-3node-consolidate":      "sched=diurnal disp=consolidate epoch=15000000 total=60000000 unparks=1 energy=0x1.37dbedb75f712p+03 avgw=0x1.44da6cf458c08p+07 qps=0x1.b5e2f55555556p+20 qpw=0x1.591361f2145a6p+13 worstp99=0x1.f4p+09 timeline=[2 1 1 2] e0[0-15000000,h01,unp=0] e0.rate=0x1.13726dac987a7p+20 e0.w=0x1.e0fcaf472d4edp+06 e0.qps=0x1.1233d55555556p+20 e0.p99=0x1.c7p+06 e0.upj=0x0p+00 e1[15000000-30000000,h04,unp=1] e1.rate=0x1.2dbac929b3c2bp+21 e1.w=0x1.9b64f87fca8b4p+07 e1.qps=0x1.2d5ep+21 e1.p99=0x1.f4p+09 e1.upj=0x1.eb851eb851eb8p-06 e2[30000000-45000000,h07,unp=0] e2.rate=0x1.2dbac929b3c2dp+21 e2.w=0x1.9552c63007d8cp+07 e2.qps=0x1.2bfdeaaaaaaabp+21 e2.p99=0x1.a3p+07 e2.upj=0x0p+00 e3[45000000-60000000,h10,unp=0] e3.rate=0x1.13726dac987a7p+20 e3.w=0x1.e4673afbf3ed5p+06 e3.qps=0x1.12a02aaaaaaabp+20 e3.p99=0x1.b3p+07 e3.upj=0x0p+00 ph[h01,n=1,t=15000000] ph.h01.rate=0x1.13726dac987a7p+20 ph.h01.w=0x1.e0fcaf472d4edp+06 ph.h01.p99=0x1.c7p+06 ph.h01.parked=0x1p+01 ph[h04,n=1,t=15000000] ph.h04.rate=0x1.2dbac929b3c2ap+21 ph.h04.w=0x1.9b64f87fca8b4p+07 ph.h04.p99=0x1.f4p+09 ph.h04.parked=0x1p+00 ph[h07,n=1,t=15000000] ph.h07.rate=0x1.2dbac929b3c2dp+21 ph.h07.w=0x1.9552c63007d8cp+07 ph.h07.p99=0x1.a3p+07 ph.h07.parked=0x1p+00 ph[h10,n=1,t=15000000] ph.h10.rate=0x1.13726dac987a7p+20 ph.h10.w=0x1.e4673afbf3ed5p+06 ph.h10.p99=0x1.b3p+07 ph.h10.parked=0x1p+01",
-	"spike-2node-spread-bursty":      "sched=spike disp=spread epoch=20000000 total=60000000 unparks=0 energy=0x1.d4f88555842b1p+02 avgw=0x1.e882e03914579p+06 qps=0x1.f0a18p+18 qpw=0x1.044148dd4be1ep+12 worstp99=0x1.69p+07 timeline=[0 0 0] e0[0-20000000,pre,unp=0] e0.rate=0x1.24f8p+18 e0.w=0x1.c967810f486adp+06 e0.qps=0x1.4bfb8p+18 e0.p99=0x1.e5p+06 e0.upj=0x0p+00 e1[20000000-40000000,spike,unp=0] e1.rate=0x1.9a28p+19 e1.w=0x1.0e97027b0c8bp+07 e1.qps=0x1.80d6cp+19 e1.p99=0x1.69p+07 e1.upj=0x0p+00 e2[40000000-60000000,post,unp=0] e2.rate=0x1.24f8p+18 e2.w=0x1.d2f31aa5db85ep+06 e2.qps=0x1.843b8p+18 e2.p99=0x1.0fp+07 e2.upj=0x0p+00 ph[pre,n=1,t=20000000] ph.pre.rate=0x1.24f8p+18 ph.pre.w=0x1.c967810f486adp+06 ph.pre.p99=0x1.e5p+06 ph.pre.parked=0x0p+00 ph[spike,n=1,t=20000000] ph.spike.rate=0x1.9a28p+19 ph.spike.w=0x1.0e97027b0c8bp+07 ph.spike.p99=0x1.69p+07 ph.spike.parked=0x0p+00 ph[post,n=1,t=20000000] ph.post.rate=0x1.24f8p+18 ph.post.w=0x1.d2f31aa5db85dp+06 ph.post.p99=0x1.0fp+07 ph.post.parked=0x0p+00",
 	"warm-diurnal-3node-consolidate": "sched=diurnal disp=consolidate epoch=15000000 total=60000000 unparks=1 energy=0x1.23db41679bed1p+03 avgw=0x1.30046421426c5p+07 qps=0x1.b4f78aaaaaaabp+20 qpw=0x1.6ff38ff3c402p+13 worstp99=0x1.a1p+08 timeline=[2 1 1 2] e0[0-15000000,h01,unp=0] e0.rate=0x1.13726dac987a7p+20 e0.w=0x1.e0fcaf472d4edp+06 e0.qps=0x1.1233d55555556p+20 e0.p99=0x1.c7p+06 e0.upj=0x0p+00 e1[15000000-30000000,h04,unp=1] e1.rate=0x1.2dbac929b3c2bp+21 e1.w=0x1.82263b99952f8p+07 e1.qps=0x1.2b296aaaaaaabp+21 e1.p99=0x1.a1p+08 e1.upj=0x0p+00 e2[30000000-45000000,h07,unp=0] e2.rate=0x1.2dbac929b3c2dp+21 e2.w=0x1.73428976f585cp+07 e2.qps=0x1.2cc5eaaaaaaabp+21 e2.p99=0x1.71p+08 e2.upj=0x0p+00 e3[45000000-60000000,h10,unp=0] e3.rate=0x1.13726dac987a7p+20 e3.w=0x1.b454e7a1d0a8cp+06 e3.qps=0x1.11cbaaaaaaaabp+20 e3.p99=0x1.dbp+06 e3.upj=0x0p+00 ph[h01,n=1,t=15000000] ph.h01.rate=0x1.13726dac987a7p+20 ph.h01.w=0x1.e0fcaf472d4edp+06 ph.h01.p99=0x1.c7p+06 ph.h01.parked=0x1p+01 ph[h04,n=1,t=15000000] ph.h04.rate=0x1.2dbac929b3c2ap+21 ph.h04.w=0x1.82263b99952f8p+07 ph.h04.p99=0x1.a1p+08 ph.h04.parked=0x1p+00 ph[h07,n=1,t=15000000] ph.h07.rate=0x1.2dbac929b3c2dp+21 ph.h07.w=0x1.73428976f585cp+07 ph.h07.p99=0x1.71p+08 ph.h07.parked=0x1p+00 ph[h10,n=1,t=15000000] ph.h10.rate=0x1.13726dac987a7p+20 ph.h10.w=0x1.b454e7a1d0a8cp+06 ph.h10.p99=0x1.dbp+06 ph.h10.parked=0x1p+01",
 	"warm-spike-2node-spread-bursty": "sched=spike disp=spread epoch=20000000 total=60000000 unparks=0 energy=0x1.bc8896f0cb814p+02 avgw=0x1.cf0e47e57ea6ap+06 qps=0x1.75b2aaaaaaaabp+18 qpw=0x1.9d3278d3f054ep+11 worstp99=0x1.51p+07 timeline=[0 0 0] e0[0-20000000,pre,unp=0] e0.rate=0x1.24f8p+18 e0.w=0x1.c967810f486adp+06 e0.qps=0x1.4bfb8p+18 e0.p99=0x1.e5p+06 e0.upj=0x0p+00 e1[20000000-40000000,spike,unp=0] e1.rate=0x1.9a28p+19 e1.w=0x1.ea6faf96e8224p+06 e1.qps=0x1.0728cp+19 e1.p99=0x1.51p+07 e1.upj=0x0p+00 e2[40000000-60000000,post,unp=0] e2.rate=0x1.24f8p+18 e2.w=0x1.b953a70a4b66cp+06 e2.qps=0x1.06cbp+18 e2.p99=0x1.05p+07 e2.upj=0x0p+00 ph[pre,n=1,t=20000000] ph.pre.rate=0x1.24f8p+18 ph.pre.w=0x1.c967810f486adp+06 ph.pre.p99=0x1.e5p+06 ph.pre.parked=0x0p+00 ph[spike,n=1,t=20000000] ph.spike.rate=0x1.9a28p+19 ph.spike.w=0x1.ea6faf96e8224p+06 ph.spike.p99=0x1.51p+07 ph.spike.parked=0x0p+00 ph[post,n=1,t=20000000] ph.post.rate=0x1.24f8p+18 ph.post.w=0x1.b953a70a4b66cp+06 ph.post.p99=0x1.05p+07 ph.post.parked=0x0p+00",
 }
@@ -166,12 +131,8 @@ func TestGoldenScenarioStability(t *testing.T) {
 // fields, never perturb a point estimate.
 func TestGoldenScenarioClassCollapse(t *testing.T) {
 	for _, tc := range goldenScenarioCases {
-		if tc.run.ColdEpochs {
-			continue // replicas are a warm-path feature
-		}
 		run := tc.run
-		run.Replicas = 1
-		run.CompactNodes = true
+		run.Execution = ScenarioExecution{Replicas: 1, CompactNodes: true}
 		res, err := RunScenario(run)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -202,9 +163,6 @@ func TestGoldenScenarioClassCollapse(t *testing.T) {
 // it.
 func TestGoldenScenarioOracleController(t *testing.T) {
 	for _, tc := range goldenScenarioCases {
-		if tc.run.ColdEpochs {
-			continue // controllers are a warm-path feature
-		}
 		run := tc.run
 		run.Elasticity.Controller = ControllerSpec{Name: ControllerOracle}
 		res, err := RunScenario(run)
@@ -248,9 +206,6 @@ func TestGoldenScenarioOracleController(t *testing.T) {
 // replay of the parent.
 func TestGoldenLiveForkRestoreStability(t *testing.T) {
 	for _, tc := range goldenScenarioCases {
-		if tc.run.ColdEpochs {
-			continue // stepping needs the warm path
-		}
 		want, ok := goldenScenarioWant[tc.name]
 		if !ok {
 			t.Fatalf("%s: no golden recorded", tc.name)
@@ -291,47 +246,6 @@ func TestGoldenLiveForkRestoreStability(t *testing.T) {
 	}
 }
 
-// TestScenarioShimFieldsMapIntoGroups pins the deprecation contract of
-// the ScenarioRun redesign: the old flat fields are shims onto the
-// Execution/Elasticity groups — a run configured through the shims is
-// bit-identical to the same run configured through the groups, and a
-// set group field wins over its shim.
-func TestScenarioShimFieldsMapIntoGroups(t *testing.T) {
-	for _, tc := range goldenScenarioCases {
-		if tc.run.ColdEpochs {
-			continue
-		}
-		viaShims := tc.run
-		viaShims.Replicas = 1
-		viaShims.CompactNodes = true
-		viaGroups := tc.run
-		viaGroups.Execution = ScenarioExecution{Replicas: 1, CompactNodes: true}
-		a, err := RunScenario(viaShims)
-		if err != nil {
-			t.Fatalf("%s (shims): %v", tc.name, err)
-		}
-		b, err := RunScenario(viaGroups)
-		if err != nil {
-			t.Fatalf("%s (groups): %v", tc.name, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: shim-configured run diverged from group-configured run", tc.name)
-		}
-	}
-	// Group-wins: a nonzero group field overrides its deprecated shim.
-	ex, el := (ScenarioRun{
-		Execution:       ScenarioExecution{Replicas: 3},
-		Elasticity:      ScenarioElasticity{UnparkPowerW: 12},
-		Replicas:        1,
-		UnparkPowerW:    99,
-		ColdEpochs:      true, // bools OR through
-		UnparkLatencyNS: 7,    // unset in the group: shim applies
-	}).normalized()
-	if ex.Replicas != 3 || el.UnparkPowerW != 12 || !ex.ColdEpochs || el.UnparkLatencyNS != 7 {
-		t.Errorf("shim merge = %+v / %+v, want group-wins with OR-ed bools", ex, el)
-	}
-}
-
 // TestConstantScenarioReproducesStationaryService pins the degenerate
 // case at the public-API level: a one-phase constant schedule fed to
 // RunService must reproduce the stationary run bit-for-bit (identical
@@ -365,45 +279,6 @@ func TestConstantScenarioReproducesStationaryService(t *testing.T) {
 	// transitively matches the pre-optimization goldens.
 	if want2, ok := goldenWant["baseline-memcached-200k"]; ok && fingerprint(got) != want2 {
 		t.Error("scheduled constant run drifted from the pinned stationary golden")
-	}
-}
-
-// TestConstantScenarioReproducesStaticCluster pins the cluster-level
-// degenerate case: one epoch spanning a constant schedule reproduces
-// RunCluster exactly, per node and in aggregate.
-func TestConstantScenarioReproducesStaticCluster(t *testing.T) {
-	base := ClusterRun{
-		ServiceRun: ServiceRun{
-			Platform: Baseline, RateQPS: 450e3,
-			DurationNS: 50_000_000, WarmupNS: 10_000_000, Seed: 3,
-		},
-		Nodes:           3,
-		ClusterDispatch: ClusterConsolidate,
-		ParkDrained:     true,
-	}
-	want, err := RunCluster(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := NamedSchedule(ScenarioConstant, 450e3, base.DurationNS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunScenario(ScenarioRun{
-		ClusterRun: base,
-		Schedule:   sched,
-		ColdEpochs: true, // the cold path reconfigures parked nodes; DeepEqual needs it
-		// EpochNS zero: one epoch spanning the whole schedule.
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Epochs) != 1 {
-		t.Fatalf("epochs = %d, want 1", len(got.Epochs))
-	}
-	if !reflect.DeepEqual(got.Epochs[0].Fleet, want) {
-		t.Errorf("one-epoch constant scenario diverged from RunCluster:\n got %+v\nwant %+v",
-			got.Epochs[0].Fleet, want)
 	}
 }
 

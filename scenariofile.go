@@ -61,14 +61,10 @@ func ScenarioRunFromFile(f ScenarioFile) (ScenarioRun, error) {
 		TotalNS:  ms(f.Schedule.TotalMS),
 		EpochNS:  ms(f.EpochMS),
 		Execution: ScenarioExecution{
-			ColdEpochs:   f.Execution.ColdEpochs,
 			Replicas:     f.Execution.Replicas,
 			CompactNodes: f.Execution.CompactNodes,
 		},
 		Elasticity: ScenarioElasticity{
-			UnparkLatencyNS: ms(f.Elasticity.UnparkLatencyMS),
-			UnparkPowerW:    f.Elasticity.UnparkPowerW,
-			UnparkFree:      f.Elasticity.UnparkFree,
 			Controller: ControllerSpec{
 				Name:       f.Elasticity.Controller.Name,
 				UpUtil:     f.Elasticity.Controller.UpUtil,
