@@ -31,6 +31,50 @@ func TestWarmOneEpochSpreadMatchesStaticRun(t *testing.T) {
 	}
 }
 
+// TestWarmDeterministicAndDistinctFromCold pins that the warm path is
+// reproducible, that its epochs follow the schedule's bookkeeping
+// (windows, rates, phases), and that it is genuinely continuous: beyond
+// epoch 0 an epoch is not what a cold start — a fresh static run of the
+// epoch's window at its rate — would measure.
+func TestWarmDeterministicAndDistinctFromCold(t *testing.T) {
+	nodes := Homogeneous(2, quickNode(0))
+	sched := mustSchedule(scenario.ByName(scenario.NameRamp, 300e3, 100*sim.Millisecond))
+	cfg := ScenarioConfig{Nodes: nodes, Schedule: sched, Epoch: 25 * sim.Millisecond}
+	a := runScenario(t, cfg)
+	b := runScenario(t, cfg)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("warm scenario run not deterministic")
+	}
+	if len(a.Epochs) != 4 {
+		t.Fatalf("epochs = %d, want 4", len(a.Epochs))
+	}
+	for e, ep := range a.Epochs {
+		phase, _ := sched.PhaseAt(ep.Start + (ep.End-ep.Start)/2)
+		if ep.Start != sim.Time(e)*cfg.Epoch || ep.End != ep.Start+cfg.Epoch ||
+			ep.RateQPS != sched.AvgRate(ep.Start, ep.End) || ep.Phase != phase.Name {
+			t.Errorf("epoch %d plan diverged: [%d,%d)@%v/%s", e, ep.Start, ep.End, ep.RateQPS, ep.Phase)
+		}
+	}
+	same := true
+	for e := 1; e < len(a.Epochs); e++ {
+		ep := a.Epochs[e]
+		cold := Homogeneous(2, quickNode(0))
+		for i := range cold {
+			cold[i].Duration = ep.End - ep.Start
+		}
+		c, err := Run(Config{Nodes: cold, RateQPS: ep.RateQPS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep.Fleet.FleetPowerW != c.FleetPowerW {
+			same = false
+		}
+	}
+	if same {
+		t.Error("warm epochs match per-epoch cold starts — state not carried across epochs")
+	}
+}
+
 // TestWarmDiurnalConsolidateParksAndUnparksForReal is the warm path's
 // headline behavior: over a diurnal day with consolidate+park, the
 // parked timeline follows the load, and the park/unpark transitions are
