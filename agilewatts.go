@@ -376,8 +376,8 @@ type (
 )
 
 // Built-in fleet controller names accepted by ControllerSpec.Name:
-// oracle replays the precomputed epoch plan (bit-for-bit the open-loop
-// result), reactive follows measured utilization with a hysteresis
+// oracle routes every epoch over the whole up fleet (bit-for-bit the
+// open-loop result), reactive follows measured utilization with a hysteresis
 // deadband and cooldown, predictive forecasts the offered rate with the
 // menu governor's EWMA machinery at fleet granularity.
 const (
@@ -466,9 +466,9 @@ type ScenarioExecution struct {
 // latency), so they carry no separate price.
 type ScenarioElasticity struct {
 	// Controller selects the fleet autoscaling policy. The zero value
-	// keeps the open-loop plan (the schedule decides everything up
-	// front); a named or custom controller re-decides the active node
-	// count every epoch from the previous epoch's telemetry.
+	// keeps the open loop (every epoch routes the schedule's rate over
+	// the whole up fleet); a named or custom controller re-decides the
+	// active node count every epoch from the previous epoch's telemetry.
 	Controller ControllerSpec
 }
 

@@ -394,8 +394,9 @@ type whatIfRequest struct {
 	// Epochs epochs of the fork — "park all but N nodes".
 	TargetNodes int `json:"target_nodes"`
 	Epochs      int `json:"epochs"`
-	// RunToEnd keeps stepping the fork (controller- or plan-driven
-	// again) after the forced window, to the end of the schedule.
+	// RunToEnd keeps stepping the fork unforced (controller-driven, or
+	// routed over the whole up fleet without one) after the forced
+	// window, to the end of the schedule.
 	RunToEnd bool `json:"run_to_end"`
 }
 
@@ -419,6 +420,10 @@ type whatIfReply struct {
 	Summary *whatIfSummary `json:"summary,omitempty"`
 }
 
+// maxWhatIfBytes bounds a /v1/whatif request body. A larger body is
+// refused with 413 rather than truncated into a parse error.
+const maxWhatIfBytes = 1 << 20
+
 // handleWhatIf answers a hypothetical against a fork of the live fleet:
 // the fork replays the live history bit-identically, the forced target
 // overrides its controller for the requested window, and the live fleet
@@ -428,7 +433,15 @@ func (d *daemon) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req whatIfRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWhatIfBytes))
+	dec.DisallowUnknownFields() // a misspelled key must not run as target 0
+	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			replyError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("what-if request exceeds the %d-byte limit", maxWhatIfBytes))
+			return
+		}
 		replyError(w, http.StatusBadRequest, fmt.Errorf("bad what-if request: %w", err))
 		return
 	}

@@ -254,22 +254,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 func TestDaemonWhatIfRejects(t *testing.T) {
 	_, query, _ := testDaemon(t, 0)
-	for name, req := range map[string]whatIfRequest{
-		"zero epochs":    {TargetNodes: 1},
-		"negative nodes": {TargetNodes: -1, Epochs: 1},
+	oversized := `{"target_nodes": 1, "epochs": 1` + strings.Repeat(" ", maxWhatIfBytes) + `}`
+	for name, tc := range map[string]struct {
+		body string
+		want int
+	}{
+		"zero epochs":    {`{"target_nodes": 1}`, http.StatusBadRequest},
+		"negative nodes": {`{"target_nodes": -1, "epochs": 1}`, http.StatusBadRequest},
+		"malformed body": {`{`, http.StatusBadRequest},
+		"misspelled key": {`{"targetNodes": 8, "epochs": 2}`, http.StatusBadRequest},
+		"oversized body": {oversized, http.StatusRequestEntityTooLarge},
 	} {
-		if resp := postJSON(t, query.URL+"/v1/whatif", req, nil); resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: %s, want 400", name, resp.Status)
+		resp, err := http.Post(query.URL+"/v1/whatif", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	resp, err := http.Post(query.URL+"/v1/whatif", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: %s, want 400", resp.Status)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: %s, want %d", name, resp.Status, tc.want)
+		}
 	}
 }
 

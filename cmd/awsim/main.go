@@ -25,8 +25,8 @@
 //
 // -controller routes both fleets through a closed-loop controller
 // (oracle, reactive or predictive) that sizes the active set from live
-// telemetry instead of the precomputed plan; -ctrl-up, -ctrl-down and
-// -ctrl-cooldown tune the reactive hysteresis. The scenario experiment
+// telemetry instead of routing over the whole fleet; -ctrl-up,
+// -ctrl-down and -ctrl-cooldown tune the reactive hysteresis. The scenario experiment
 // always appends the oracle-vs-reactive-vs-predictive comparison table:
 //
 //	awsim -nodes 8 -controller reactive -ctrl-cooldown 3 scenario

@@ -28,8 +28,8 @@
 //
 // Adding -controller runs the scenario closed-loop: the named fleet
 // controller (oracle, reactive or predictive) sizes the active set from
-// epoch telemetry instead of the precomputed plan, a target_nodes column
-// is appended to each epoch row, and -v reports the controller's
+// epoch telemetry instead of routing over the whole fleet, a
+// target_nodes column is appended to each epoch row, and -v reports the controller's
 // decisions-per-epoch alongside the cache statistics. -ctrl-up,
 // -ctrl-down and -ctrl-cooldown tune the reactive hysteresis:
 //

@@ -10,10 +10,11 @@ import (
 
 // Controller names accepted by ControllerSpec.Name.
 const (
-	// ControllerOracle replays the precomputed epoch plan: every decision
-	// is the schedule-derived partition an open-loop run uses, so an
-	// oracle run reproduces the open-loop results bit-for-bit. It is the
-	// never-wrong upper bound the paper's evaluation implicitly assumes.
+	// ControllerOracle makes no decisions: every epoch routes the
+	// schedule's offered rate over the whole up fleet, exactly as an
+	// open-loop run does, so an oracle run reproduces the open-loop
+	// results bit-for-bit. It is the never-wrong upper bound the paper's
+	// evaluation implicitly assumes.
 	ControllerOracle = "oracle"
 	// ControllerReactive sizes the fleet from measured utilization:
 	// outside the [DownUtil, UpUtil] deadband it retargets toward
@@ -134,8 +135,8 @@ func clampTarget(want, nodes int) int {
 }
 
 // newController instantiates the spec's policy for a fleet. The oracle
-// returns nil: it has no decisions to make — the engine replays the
-// precomputed plan verbatim (which is the whole point of the oracle).
+// returns nil: it has no decisions to make — the engine routes every
+// epoch over the whole up fleet, as it does with no controller at all.
 func newController(s ControllerSpec, info FleetInfo) Controller {
 	if s.New != nil {
 		return s.New(info)

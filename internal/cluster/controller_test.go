@@ -24,9 +24,10 @@ func stripControllerFields(r ScenarioResult) ScenarioResult {
 
 // TestOracleControllerMatchesOpenLoopBitForBit pins the oracle's
 // exactness: naming the oracle controller must reproduce the open-loop
-// run bit-for-bit, in every mode (expanded, compact, with replica CIs),
-// because the oracle replays the precomputed plan verbatim and only the
-// reported controller name and targets differ.
+// run bit-for-bit, in every mode (expanded, compact, with replica CIs,
+// under a crash and admission control), because neither has decisions
+// to make: every epoch routes the whole up fleet through the same step,
+// and only the reported controller name and targets differ.
 func TestOracleControllerMatchesOpenLoopBitForBit(t *testing.T) {
 	node := quickNode(0)
 	node.Warmup = 5 * sim.Millisecond
@@ -46,6 +47,10 @@ func TestOracleControllerMatchesOpenLoopBitForBit(t *testing.T) {
 		{"expanded", func(*ScenarioConfig) {}},
 		{"compact", func(c *ScenarioConfig) { c.CompactNodes = true }},
 		{"compact-replicas", func(c *ScenarioConfig) { c.CompactNodes = true; c.Replicas = 2 }},
+		{"crash-queue", func(c *ScenarioConfig) {
+			c.Faults.Nodes = []NodeFault{{Node: 0, Kind: FaultCrash, Start: 40 * sim.Millisecond, End: 80 * sim.Millisecond}}
+			c.Overload = OverloadSpec{Policy: OverloadQueue, MaxUtil: 0.2}
+		}},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -180,8 +185,8 @@ func TestReactiveCooldownNeverFlipsWithinWindow(t *testing.T) {
 // TestReactiveConstantScheduleConvergesToOracle pins the reactive
 // controller's steady state: under a constant offered rate the fleet it
 // settles on carries the load with exactly as many active nodes as the
-// oracle's precomputed consolidation — the feedback loop finds the plan
-// when there is nothing to react to.
+// oracle's consolidation of the offered rate — the feedback loop finds
+// it when there is nothing to react to.
 func TestReactiveConstantScheduleConvergesToOracle(t *testing.T) {
 	node := quickNode(0)
 	node.Warmup = 5 * sim.Millisecond

@@ -180,10 +180,15 @@ func (cl *liveClass) replayPrefix(park bool) error {
 	return nil
 }
 
-// activeSet returns the active node indices for a controller target:
-// the first target up nodes in fleet order (crashed nodes skipped).
-// With fewer than target up nodes the whole surviving fleet serves.
+// activeSet returns the active node indices for a target: the first
+// target up nodes in fleet order (crashed nodes skipped). With fewer
+// than target up nodes the whole surviving fleet serves. A nil set means
+// every node is active — no per-epoch index slice for a healthy,
+// unconsolidated fleet — while an empty one means every node is down.
 func activeSet(c resolvedScenario, target int, faults []runner.Fault) []int {
+	if target >= len(c.Nodes) && faults == nil {
+		return nil
+	}
 	up := make([]int, 0, target)
 	for i := range c.Nodes {
 		if faults != nil && faults[i].Down {
@@ -194,28 +199,31 @@ func activeSet(c resolvedScenario, target int, faults []runner.Fault) []int {
 			break
 		}
 	}
+	if len(up) == len(c.Nodes) {
+		return nil
+	}
 	return up
 }
 
 // partitionOver routes rate across the given active set with the
 // configured dispatch policy, expanded back to fleet order; nodes
-// outside the set are routed nothing. An empty set routes nothing at
-// all — the whole fleet is dark.
+// outside the set are routed nothing. A nil set partitions over the
+// whole fleet in place; an empty one routes nothing at all — the whole
+// fleet is dark.
 func partitionOver(c resolvedScenario, part func(Config) []float64, rate float64, up []int) []float64 {
+	cfg := Config{Nodes: c.Nodes, RateQPS: rate, Dispatch: c.Dispatch, TargetUtil: c.TargetUtil}
+	if up == nil {
+		return part(cfg)
+	}
 	rates := make([]float64, len(c.Nodes))
 	if len(up) == 0 {
 		return rates
 	}
-	upNodes := make([]server.Config, len(up))
+	cfg.Nodes = make([]server.Config, len(up))
 	for j, i := range up {
-		upNodes[j] = c.Nodes[i]
+		cfg.Nodes[j] = c.Nodes[i]
 	}
-	sub := part(Config{
-		Nodes:      upNodes,
-		RateQPS:    rate,
-		Dispatch:   c.Dispatch,
-		TargetUtil: c.TargetUtil,
-	})
+	sub := part(cfg)
 	for j, i := range up {
 		rates[i] = sub[j]
 	}

@@ -31,15 +31,12 @@ type Live struct {
 	r      *runner.Runner
 	plan   []epochWindow
 	faults [][]runner.Fault
-	// replay marks plan-replay mode: open-loop configs and the oracle
-	// controller take each epoch's rates from the precomputed plan;
-	// otherwise ctrl decides each unforced epoch's target.
-	replay bool
-	ctrl   Controller
+	// ctrl decides each unforced epoch's target; nil with no controller
+	// (open loop and the oracle), where every epoch targets the whole
+	// fleet.
+	ctrl Controller
 	// adm is the run-time admission state (nil when overload control is
-	// disabled): forced and controller-decided epochs admit against the
-	// active set at step time; replayed epochs re-sync it to the plan's
-	// precomputed accounts.
+	// disabled): every epoch admits against its active set at step time.
 	adm *admission
 
 	classes  []*liveClass
@@ -47,13 +44,12 @@ type Live struct {
 	targets  []int
 	forced   []bool
 	tels     []FleetTelemetry
-	target   int
 	epoch    int
 }
 
 // NewLive builds the steppable fleet for the scenario config: the epoch
-// plan, adjusted for crashed nodes and admission control, and the fleet
-// collapsed into its initial live classes.
+// plan, the fault plan over it, and the fleet collapsed into its initial
+// live classes.
 func NewLive(cfg ScenarioConfig) (*Live, error) {
 	c, err := cfg.Normalize()
 	if err != nil {
@@ -67,27 +63,15 @@ func NewLive(cfg ScenarioConfig) (*Live, error) {
 	if r == nil {
 		r = runner.Default()
 	}
-	plan := planEpochs(c, part)
-	faults := c.faultPlan(plan)
-	if faults != nil {
-		// Crashed nodes serve nothing; re-partition their epochs' load
-		// over the survivors.
-		applyFaultRates(c, part, plan, faults)
-	}
-	// Admission control clips the plan after the fault adjustment, so
-	// capacity reflects crashed nodes. Controller-decided and forced
-	// epochs re-admit at step time against their own active set.
-	applyOverloadPlan(c, part, plan, faults)
+	plan := planEpochs(c)
 	l := &Live{
 		c:      c,
 		part:   part,
 		r:      r,
 		plan:   plan,
-		faults: faults,
-		target: len(c.Nodes), // cold start: everything active until telemetry arrives
+		faults: c.faultPlan(plan),
 	}
 	l.ctrl = newController(c.Controller, l.fleetInfo())
-	l.replay = l.ctrl == nil
 	l.adm = c.newAdmission()
 	l.classes = initialLiveClasses(c)
 	return l, nil
@@ -136,10 +120,11 @@ func (l *Live) History() []FleetTelemetry {
 	return out
 }
 
-// Step advances the fleet one epoch: the controller (or the plan, in
-// replay mode) decides the active set, the dispatcher routes the
-// epoch's offered rate, every class simulates its window, and the
-// boundary telemetry is folded and returned.
+// Step advances the fleet one epoch: the controller (or, without one,
+// the whole fleet) sets the active-node target, admission control clips
+// the epoch's offered rate to the active set's capacity, the dispatcher
+// routes it, every class simulates its window, and the boundary
+// telemetry is folded and returned.
 func (l *Live) Step() (FleetTelemetry, error) {
 	return l.step(0, false)
 }
@@ -164,61 +149,45 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	if l.faults != nil {
 		frow = l.faults[e]
 	}
-	target := l.target
-	var rates []float64
-	var acct overloadAccount
-	// Run-time admission: the active set is the capacity the policy
-	// admits against, so a consolidated fleet saturates before a fully
-	// unparked one would.
-	admitted := func(up []int) []float64 {
-		route := pw.rate
-		if l.adm != nil {
-			winSec := float64(pw.end-pw.start) / 1e9
-			route, acct = l.adm.admit(pw.rate, l.c.overloadCapacity(up), winSec)
-		}
-		return partitionOver(l.c, l.part, route, up)
-	}
+	// Without a controller, and on a controller's cold start before any
+	// telemetry arrives, the whole fleet is the target.
+	target := len(l.c.Nodes)
 	switch {
 	case force:
 		target = clampTarget(forcedTarget, len(l.c.Nodes))
-		rates = admitted(activeSet(l.c, target, frow))
-	case l.replay:
-		// The plan's rates are already fault- and admission-adjusted
-		// (crashed nodes carry zero; clipped epochs their admitted
-		// partition), so the replay reuses the planned rates and
-		// accounts, re-syncing the backlog so a later forced step
-		// carries it forward from the plan's state.
-		rates = pw.rates
-		acct = pw.account()
-		if l.adm != nil {
-			l.adm.backlog = pw.backlogReq
-		}
+	case l.ctrl != nil && e > 0:
+		// The controller decides against the finished epoch's telemetry:
+		// one full epoch of lag, the honest feedback regime.
+		target = clampTarget(l.ctrl.Observe(l.tels[e-1]), len(l.c.Nodes))
+	}
+	up := activeSet(l.c, target, frow)
+	// Admission runs against the active set's capacity, so a
+	// consolidated fleet saturates before a fully unparked one would.
+	route := pw.rate
+	var acct overloadAccount
+	if l.adm != nil {
+		route, acct = l.adm.admit(pw.rate, l.c.overloadCapacity(up), float64(pw.end-pw.start)/1e9)
+	}
+	rates := partitionOver(l.c, l.part, route, up)
+	if !force && l.ctrl == nil {
+		// Open loop and the oracle report the nodes actually routed.
 		target = 0
 		for _, rt := range rates {
 			if rt > 0 {
 				target++
 			}
 		}
-	default:
-		// The controller decides against the finished epoch's telemetry:
-		// one full epoch of lag, the honest feedback regime.
-		if e > 0 {
-			target = clampTarget(l.ctrl.Observe(l.tels[e-1]), len(l.c.Nodes))
-		}
-		rates = admitted(activeSet(l.c, target, frow))
 	}
 
-	realized := epochWindow{
-		start: pw.start, end: pw.end, rate: pw.rate, phase: pw.phase, rates: rates,
-		saturated: acct.saturated, shedded: acct.shedded, backlogReq: acct.backlogReq,
-	}
+	realized := pw
+	realized.rates = rates
+	realized.overloadAccount = acct
 	l.classes = splitByRate(l.classes, rates, frow)
 	if err := stepClasses(l.classes, pw.end-pw.start, l.c.ParkDrained, l.r); err != nil {
 		return FleetTelemetry{}, err
 	}
 	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, len(l.c.Nodes))
 
-	l.target = target
 	l.realized = append(l.realized, realized)
 	l.targets = append(l.targets, target)
 	l.forced = append(l.forced, force)
@@ -295,12 +264,10 @@ func (l *Live) Fork() *Live {
 		r:        l.r,
 		plan:     l.plan,
 		faults:   l.faults,
-		replay:   l.replay,
 		realized: append([]epochWindow(nil), l.realized...),
 		targets:  append([]int(nil), l.targets...),
 		forced:   append([]bool(nil), l.forced...),
 		tels:     append([]FleetTelemetry(nil), l.tels...),
-		target:   l.target,
 		epoch:    l.epoch,
 	}
 	if l.adm != nil {
@@ -495,9 +462,9 @@ func RestoreLive(cfg ScenarioConfig, data []byte) (*Live, error) {
 	}
 
 	// Deterministic re-step: forced epochs replay their recorded target,
-	// unforced epochs re-derive theirs (controller or plan) — and must
-	// land on the recorded value, or the simulator/scenario has diverged
-	// from the checkpoint.
+	// unforced epochs re-derive theirs (controller decision or routed
+	// count) — and must land on the recorded value, or the
+	// simulator/scenario has diverged from the checkpoint.
 	for e := 0; e < len(targets); e++ {
 		var err error
 		if forced[e] {

@@ -418,3 +418,44 @@ func TestLiveOverloadForkCarriesBacklog(t *testing.T) {
 		t.Errorf("fork result diverged from parent")
 	}
 }
+
+// TestLiveWhatIfBacklogConserved forks an open-loop queue-policy fleet,
+// forces one epoch down to a single node so the backlog builds, and
+// steps the fork to the end: every epoch must conserve requests —
+// offered = routed + shed + Δbacklog — so the unforced epochs after the
+// forced one admit the backlog it queued instead of dropping it.
+func TestLiveWhatIfBacklogConserved(t *testing.T) {
+	probe := overloadScenario(mustSchedule(scenario.Constant("probe", 1, 80*sim.Millisecond)), 4)
+	rate := 0.5 * fleetAdmissionCapacity(probe, 0.85)
+	cfg := overloadScenario(mustSchedule(scenario.Constant("half", rate, 80*sim.Millisecond)), 4)
+	cfg.Overload.Policy = OverloadQueue
+	parent := mustLive(t, cfg)
+	if _, err := parent.Step(); err != nil {
+		t.Fatal(err)
+	}
+	fork := parent.Fork()
+	if _, err := fork.StepTarget(1); err != nil {
+		t.Fatal(err)
+	}
+	stepAll(t, fork)
+	res := mustResult(t, fork)
+	if res.Epochs[1].BacklogRate <= 0 {
+		t.Fatalf("forced single-node epoch queued no backlog")
+	}
+	var prevBacklog float64
+	for _, ep := range res.Epochs {
+		winSec := float64(ep.End-ep.Start) / 1e9
+		var routed float64
+		for _, n := range ep.Fleet.Nodes {
+			routed += n.RateQPS
+		}
+		backlog := ep.BacklogRate * winSec
+		offered := ep.RateQPS * winSec
+		accounted := routed*winSec + ep.SheddedRequests + backlog - prevBacklog
+		if math.Abs(accounted-offered) > 1e-9*offered {
+			t.Errorf("epoch %d: offered %g requests, accounted %g (routed %g, shed %g, backlog %g -> %g)",
+				ep.Epoch, offered, accounted, routed*winSec, ep.SheddedRequests, prevBacklog, backlog)
+		}
+		prevBacklog = backlog
+	}
+}

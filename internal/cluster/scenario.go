@@ -48,12 +48,11 @@ type ScenarioConfig struct {
 	// bars without perturbing any existing result bit.
 	Replicas int
 	// Controller selects the fleet autoscaling policy (see
-	// ControllerSpec). The zero value keeps the open-loop behavior: the
-	// epoch plan is computed once from the schedule and every epoch
-	// replays it. A named controller decides each epoch's rate partition
-	// at run time from the previous epoch's telemetry (the oracle replays
-	// the precomputed plan and so reproduces the open-loop results
-	// bit-for-bit).
+	// ControllerSpec). The zero value keeps the open-loop behavior: every
+	// epoch routes the schedule's offered rate over the whole up fleet. A
+	// named controller decides each epoch's active-node target at run
+	// time from the previous epoch's telemetry (the oracle decides
+	// nothing and so reproduces the open-loop results bit-for-bit).
 	Controller ControllerSpec
 	// Faults injects node- and cluster-level faults into the run:
 	// explicit per-node crash/straggler/thermal windows plus a seeded
@@ -196,7 +195,7 @@ type EpochResult struct {
 	RestartEnergyJ float64
 	// TargetNodes is the controller's target active node count for this
 	// epoch (the clamped Observe decision; for the oracle, the number of
-	// plan-routed nodes). Zero on open-loop runs.
+	// nodes routed load). Zero on open-loop runs.
 	TargetNodes int
 	// Saturated reports that the epoch's demand (offered rate plus any
 	// queued backlog) exceeded the active fleet's admission capacity —
@@ -305,27 +304,22 @@ func (c ScenarioConfig) Validate() error {
 	return err
 }
 
-// epochWindow is one planned re-dispatch interval: its schedule window,
-// mean rate, covering phase, and the per-node rate partition. The plan
-// depends only on the schedule, the dispatch policy, the fault plan and
-// the admission policy — never on simulation results — so open-loop and
-// oracle runs replay it verbatim.
+// epochWindow is one re-dispatch interval: its schedule window, mean
+// rate and covering phase. Plan windows carry only those, which depend
+// on the schedule alone; the realized window Live.step records adds the
+// per-node rate partition it routed and its admission account (all zero
+// when admission control is disabled).
 type epochWindow struct {
 	start, end sim.Time
 	rate       float64
 	phase      string
 	rates      []float64
-	// Admission-control account for the window (see OverloadSpec): set
-	// by applyOverloadPlan on planned windows and by the run-time
-	// admission on realized ones; all zero when admission is disabled.
-	saturated  bool
-	shedded    float64 // requests dropped during the window
-	backlogReq float64 // requests still queued at the window's end
+	overloadAccount
 }
 
-// planEpochs partitions the schedule into epoch windows and each
-// window's mean rate across the nodes.
-func planEpochs(c resolvedScenario, part func(Config) []float64) []epochWindow {
+// planEpochs partitions the schedule into epoch windows, each with its
+// mean rate and covering phase.
+func planEpochs(c resolvedScenario) []epochWindow {
 	var plan []epochWindow
 	for e := 0; ; e++ {
 		t0 := c.Epoch * sim.Time(e)
@@ -336,20 +330,12 @@ func planEpochs(c resolvedScenario, part func(Config) []float64) []epochWindow {
 		if t1 > c.total {
 			t1 = c.total
 		}
-		window := t1 - t0
-		rate := c.Schedule.AvgRate(t0, t1)
-		phase, _ := c.Schedule.PhaseAt(t0 + window/2)
+		phase, _ := c.Schedule.PhaseAt(t0 + (t1-t0)/2)
 		plan = append(plan, epochWindow{
 			start: t0,
 			end:   t1,
-			rate:  rate,
+			rate:  c.Schedule.AvgRate(t0, t1),
 			phase: phase.Name,
-			rates: part(Config{
-				Nodes:      c.Nodes,
-				RateQPS:    rate,
-				Dispatch:   c.Dispatch,
-				TargetUtil: c.TargetUtil,
-			}),
 		})
 	}
 }

@@ -54,7 +54,7 @@ func BenchmarkRunScenarioWarm(b *testing.B) {
 // BenchmarkRunScenarioWarmReactive measures the same configuration as
 // BenchmarkRunScenarioWarm with the reactive controller in the loop:
 // controller evaluation and live-class rate-divergence splits on top of
-// the open-loop plan replay. The delta against BenchmarkRunScenarioWarm
+// the open-loop routing. The delta against BenchmarkRunScenarioWarm
 // is the control plane's overhead.
 func BenchmarkRunScenarioWarmReactive(b *testing.B) {
 	b.ReportAllocs()

@@ -74,7 +74,7 @@ type Options struct {
 	// Controller routes the scenario experiment's Baseline/AW comparison
 	// through the named closed-loop fleet controller (oracle, reactive
 	// or predictive; see cluster.Controllers) instead of the default
-	// open-loop plan. The controller comparison table always sweeps all
+	// open loop. The controller comparison table always sweeps all
 	// three regardless of this setting.
 	Controller string
 	// ControllerUpUtil and ControllerDownUtil override the reactive

@@ -33,8 +33,8 @@ func (f Fault) healthy() bool { return f == Fault{} }
 // up interval rebuilds it cold under a restart-remixed seed, and
 // straggler/throttle annotations are installed on the instance before
 // each window. It is the shared execution engine behind runTimeline
-// (whole-timeline memoized runs) and the cluster layer's closed-loop
-// epoch stepping, so both paths crash and recover identically.
+// (whole-timeline memoized runs) and the cluster layer's epoch stepping
+// of every scenario, so both paths crash and recover identically.
 //
 // Like the Instance it wraps, a cursor is single-goroutine.
 type TimelineCursor struct {

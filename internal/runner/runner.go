@@ -269,10 +269,11 @@ type TimelineSpec struct {
 // the exact interval list, and reports whether the spec is cacheable. A
 // timeline is a pure function of these: all randomness still derives
 // from Node.Seed, and the interval windows and rates fully determine
-// the piecewise-constant offered load. Beyond memoization, the key is
-// the cluster layer's timeline-equivalence-class fingerprint: two nodes
-// with equal keys are bit-identical simulations, so one representative
-// run can stand for all of them.
+// the piecewise-constant offered load, so two nodes with equal keys are
+// bit-identical simulations. It keys RunTimeline's memo cache (the
+// cluster layer's replica runs); live classes split on routed rate and
+// fault instead (see cluster.splitByRate), which yields the same
+// partition.
 func TimelineKey(spec TimelineSpec) (string, bool) {
 	base, ok := Key(spec.Node)
 	if !ok {
