@@ -49,6 +49,7 @@ profile-mem:
 # Record the perf trajectory: run the gated microbenchmarks and emit a
 # dated BENCH_<date>.json snapshot (the same artifact CI uploads).
 bench-json:
+	@mkdir -p $(PROF_DIR)
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 0.3s -count 6 \
 		./internal/sim ./internal/stats ./internal/server ./internal/cluster \
 		| tee $(PROF_DIR)/bench-micro.txt

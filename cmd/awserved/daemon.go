@@ -67,6 +67,10 @@ type daemon struct {
 	// whenever the live fleet moves, so follow streams wake exactly when
 	// there is something new instead of polling.
 	epochCh chan struct{}
+	// timeline counts restores. A follow stream ends when it changes:
+	// its epoch index points into the replaced history, so the client
+	// re-attaches to the restored one.
+	timeline int
 	// lastCkptEpoch / lastCkptWall drive the checkpoint cadence; -1
 	// means no checkpoint exists yet for this timeline.
 	lastCkptEpoch int
@@ -328,7 +332,8 @@ func (d *daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleTelemetry streams one JSON document per completed epoch
 // (NDJSON), starting at ?from=N (default 0). With ?follow=1 the stream
 // stays open and emits each further epoch as the fleet completes it,
-// until the scenario ends or the client goes away.
+// until the scenario ends, a restore replaces the timeline, or the
+// client goes away.
 func (d *daemon) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if !wantMethod(w, r, http.MethodGet) {
 		return
@@ -346,13 +351,21 @@ func (d *daemon) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	timeline := -1
 	for {
 		d.mu.Lock()
+		if timeline < 0 {
+			timeline = d.timeline
+		}
+		restored := d.timeline != timeline
 		hist := d.live.History()
 		done := d.live.Done()
 		closing := d.closing
 		wake := d.epochCh
 		d.mu.Unlock()
+		if restored {
+			return
+		}
 		for ; from < len(hist); from++ {
 			if err := enc.Encode(hist[from]); err != nil {
 				return
@@ -617,8 +630,10 @@ func (d *daemon) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	d.mu.Lock()
 	d.live = live
-	// The restored fleet is a new timeline: followers re-read history,
-	// and the checkpoint cadence restarts from the restored epoch.
+	// The restored fleet is a new timeline: follow streams end so their
+	// clients re-read history, and the checkpoint cadence restarts from
+	// the restored epoch.
+	d.timeline++
 	d.lastCkptEpoch = -1
 	d.wakeFollowersLocked()
 	st := d.status()

@@ -530,6 +530,90 @@ func (zeros) Read(p []byte) (int, error) {
 // body one byte over the limit is refused with 413 — not truncated and
 // then reported as a corrupt checkpoint — and the live fleet is left
 // exactly as it was.
+// TestDaemonFollowEndsOnRestore pins that a restore ends every open
+// follow stream: its epoch index points into the replaced history, so
+// the stream must close (the client re-attaches) rather than wait
+// forever at an index the restored timeline will re-step silently.
+func TestDaemonFollowEndsOnRestore(t *testing.T) {
+	_, query, admin := testDaemon(t, 0)
+	postJSON(t, admin.URL+"/v1/step", nil, nil)
+	resp, err := http.Get(admin.URL + "/v1/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot: %s %v", resp.Status, err)
+	}
+	postJSON(t, admin.URL+"/v1/step?epochs=2", nil, nil)
+
+	follow, err := http.Get(query.URL + "/v1/telemetry?from=0&follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follow.Body.Close()
+	lines := make(chan int)
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(follow.Body)
+		for sc.Scan() {
+			var tel agilewatts.FleetTelemetry
+			if json.Unmarshal(sc.Bytes(), &tel) != nil {
+				tel.Epoch = -1
+			}
+			select {
+			case lines <- tel.Epoch:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	for want := 0; want < 3; want++ {
+		select {
+		case got := <-lines:
+			if got != want {
+				t.Fatalf("follow line %d reports epoch %d", want, got)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("follow stream stalled before epoch %d", want)
+		}
+	}
+
+	resp, err = http.Post(admin.URL+"/v1/restore", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore: %s", resp.Status)
+	}
+	postJSON(t, admin.URL+"/v1/step", nil, nil)
+	select {
+	case got, open := <-lines:
+		if open {
+			t.Fatalf("follow stream sent epoch %d across the restore, want it closed", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("follow stream neither closed nor advanced after a restore")
+	}
+
+	// Re-attaching reads the restored timeline: the checkpoint's epoch
+	// plus the one stepped after it.
+	resp, err = http.Get(query.URL + "/v1/telemetry?from=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if n := strings.Count(string(body), "\n"); n != 2 {
+		t.Errorf("re-attached stream carried %d epochs, want 2", n)
+	}
+}
+
 func TestDaemonRestoreRejectsOversizedBody(t *testing.T) {
 	d, query, admin := testDaemon(t, 0)
 	postJSON(t, admin.URL+"/v1/step?epochs=2", nil, nil)

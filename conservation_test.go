@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // TestScenarioConservation checks the accounting laws every scenario
@@ -20,7 +21,9 @@ import (
 // result carries no per-node rates, so its admitted rate comes from the
 // expanded run of the same scenario: admission does not depend on
 // compaction, and this way the compact run's shed and backlog accounts
-// are checked against it.
+// are checked against it. The same config stepped through a Live must
+// also report, in each epoch's telemetry, the result's window, offered
+// rate, admission account and parked, down and active counts.
 func TestScenarioConservation(t *testing.T) {
 	type scenarioCase struct {
 		name string
@@ -76,6 +79,7 @@ func TestScenarioConservation(t *testing.T) {
 					t.Fatal("no admitted rates: the expanded run failed")
 				}
 				checkConservation(t, res, admitted, len(cfg.Nodes), crashPlan(t, cfg.Faults, res), r)
+				checkHistory(t, cfg, res)
 			})
 		}
 	}
@@ -149,5 +153,42 @@ func checkConservation(t *testing.T, res ScenarioResult, admitted []float64, nod
 	}
 	if res.Classes < 1 || res.Classes > nodes {
 		t.Errorf("%d classes for a %d-node fleet", res.Classes, nodes)
+	}
+}
+
+// checkHistory steps cfg through a fresh Live and requires every
+// epoch's telemetry to agree with the result's epoch on the window, the
+// offered rate, the admission account and the node counts.
+func checkHistory(t *testing.T, cfg cluster.ScenarioConfig, res ScenarioResult) {
+	t.Helper()
+	l, err := cluster.NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !l.Done() {
+		if _, err := l.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist := l.History()
+	if len(hist) != len(res.Epochs) {
+		t.Fatalf("%d telemetry samples for %d epochs", len(hist), len(res.Epochs))
+	}
+	type header struct {
+		Start, End           sim.Time
+		Rate                 float64
+		Saturated            bool
+		Shed, Backlog        float64
+		Parked, Down, Active int
+	}
+	for e, tel := range hist {
+		ep := &res.Epochs[e]
+		got := header{tel.Start, tel.End, tel.OfferedQPS, tel.Saturated, tel.SheddedRequests, tel.BacklogRate,
+			tel.ParkedNodes, tel.DownNodes, tel.ActiveNodes}
+		want := header{ep.Start, ep.End, ep.RateQPS, ep.Saturated, ep.SheddedRequests, ep.BacklogRate,
+			ep.Parked, ep.Down, ep.Fleet.ActiveNodes}
+		if got != want {
+			t.Errorf("epoch %d: telemetry %+v, result %+v", e, got, want)
+		}
 	}
 }

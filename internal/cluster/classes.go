@@ -34,42 +34,37 @@ type FleetCI struct {
 	WorstP99US CI
 }
 
-// timelineClass is one timeline equivalence class of the fleet, as
-// Live.Result packages it: every member node is a bit-identical
-// simulation (same node fingerprint, park flag and realized rate and
-// fault timeline), so one representative run stands for all of them,
-// plus K seeded replicas for error bars.
-type timelineClass struct {
-	// rep is the representative: the class's first member node index.
-	rep int
-	// members lists every member node index, in fleet order.
-	members []int
-	// spec is the representative's timeline.
-	spec runner.TimelineSpec
-	// results[r][e] is replica r's epoch-e measurement; replica 0 is the
-	// representative under its own natural seed.
-	results [][]server.IntervalResult
-}
-
-// runReplicas runs the k seeded replicas of every class timeline: replica
-// rep of class ci re-runs the representative's realized spec under seed
+// runReplicas runs the k seeded replicas of every live class: replica
+// rep of class ci re-runs the representative's realized timeline (its
+// node, intervals and the park flag) under seed
 // xrand.ClassReplicaSeed(ci, rep) — drawn from the plane disjoint from
 // every node seed, so a replica can never alias a real node's
-// simulation in the memo cache — through the memoized RunTimeline.
-// Replica 0, the representative, is already in results[0].
-func runReplicas(classes []timelineClass, k int, r *runner.Runner) error {
-	return r.Each(len(classes)*k, func(t int) error {
+// simulation in the memo cache — through the memoized RunTimeline. It
+// returns each class's ensemble, runs[ci][rep][e], whose replica 0 is
+// the representative's own cl.results; nil when k is 0.
+func runReplicas(classes []*liveClass, k int, park bool, r *runner.Runner) ([][][]server.IntervalResult, error) {
+	if k == 0 {
+		return nil, nil
+	}
+	runs := make([][][]server.IntervalResult, len(classes))
+	for ci, cl := range classes {
+		runs[ci] = make([][]server.IntervalResult, k+1)
+		runs[ci][0] = cl.results
+	}
+	err := r.Each(len(classes)*k, func(t int) error {
 		ci, rep := t/k, t%k+1
-		spec := classes[ci].spec
+		cl := classes[ci]
+		spec := runner.TimelineSpec{Node: cl.node, Park: park, Intervals: cl.intervals}
 		spec.Node.Seed = xrand.ClassReplicaSeed(ci, rep)
 		res, err := r.RunTimeline(spec)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d timeline (class %d replica %d): %w",
-				classes[ci].rep, ci, rep, err)
+				cl.rep, ci, rep, err)
 		}
-		classes[ci].results[rep] = res
+		runs[ci][rep] = res
 		return nil
 	})
+	return runs, err
 }
 
 // ciOf returns the 95% Student-t interval around the mean of xs.
@@ -78,62 +73,35 @@ func ciOf(xs []float64) CI {
 	return CI{Lo: mean - half, Hi: mean + half}
 }
 
-// epochClassCI builds epoch e's confidence intervals from the k+1
-// replica ensembles, or nil when no replicas were requested.
-func epochClassCI(classes []timelineClass, e, k int) *FleetCI {
-	if k <= 0 {
+// replicaCI builds the confidence intervals of epochs [lo, hi) from the
+// replica ensembles, or nil when no replicas ran. Each replica index
+// yields one virtual fleet: every class adds m*x*scale of its replica's
+// power and throughput, scale being the epoch's weight sec(e), and the
+// worst p99 is the max over the range. Power is the weighted sum over
+// the summed weights and QPS/W completions over energy. One epoch's
+// intervals weigh it 1 (so the sums are its fleet power and
+// throughput); the whole run weighs each epoch by its length in
+// seconds (time-weighted mean power, completions per joule).
+func replicaCI(classes []*liveClass, runs [][][]server.IntervalResult, lo, hi int, sec func(e int) float64) *FleetCI {
+	if runs == nil {
 		return nil
 	}
-	n := k + 1
-	power := make([]float64, n)
-	qps := make([]float64, n)
-	worst := make([]float64, n)
-	for ci := range classes {
-		cl := &classes[ci]
-		m := float64(len(cl.members))
-		for rep := 0; rep < n; rep++ {
-			res := &cl.results[rep][e].Result
-			power[rep] += m * res.PackagePowerW
-			qps[rep] += m * res.CompletedPerSec
-			if res.Server.P99US > worst[rep] {
-				worst[rep] = res.Server.P99US
-			}
-		}
-	}
-	qpw := make([]float64, n)
-	for rep, p := range power {
-		if p > 0 {
-			qpw[rep] = qps[rep] / p
-		}
-	}
-	return &FleetCI{Samples: n, FleetPowerW: ciOf(power), QPSPerWatt: ciOf(qpw), WorstP99US: ciOf(worst)}
-}
-
-// scenarioClassCI builds the whole-run confidence intervals: each
-// replica index yields one virtual whole-scenario fleet (time-weighted
-// mean power, completions per joule, max worst-p99 over epochs), and
-// the intervals are t-intervals over those k+1 runs.
-func scenarioClassCI(classes []timelineClass, plan []epochWindow, k int) *FleetCI {
-	if k <= 0 {
-		return nil
-	}
-	n := k + 1
+	n := len(runs[0])
 	energy := make([]float64, n)
 	comps := make([]float64, n)
 	worst := make([]float64, n)
 	var totalSec float64
-	for e, pw := range plan {
-		winSec := float64(pw.end-pw.start) / 1e9
-		totalSec += winSec
-		for ci := range classes {
-			cl := &classes[ci]
+	for e := lo; e < hi; e++ {
+		scale := sec(e)
+		totalSec += scale
+		for ci, cl := range classes {
 			m := float64(len(cl.members))
-			for rep := 0; rep < n; rep++ {
-				res := &cl.results[rep][e].Result
-				energy[rep] += m * res.PackagePowerW * winSec
-				comps[rep] += m * res.CompletedPerSec * winSec
-				if res.Server.P99US > worst[rep] {
-					worst[rep] = res.Server.P99US
+			for rep, res := range runs[ci] {
+				r := &res[e].Result
+				energy[rep] += m * r.PackagePowerW * scale
+				comps[rep] += m * r.CompletedPerSec * scale
+				if r.Server.P99US > worst[rep] {
+					worst[rep] = r.Server.P99US
 				}
 			}
 		}

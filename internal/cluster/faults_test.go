@@ -285,7 +285,7 @@ func TestFleetTelemetryWeightedFolds(t *testing.T) {
 		{members: []int{5}, ins: cursor(), results: []server.IntervalResult{down}},
 	}
 	pw := epochWindow{start: 0, end: 10 * sim.Millisecond, rate: 150e3}
-	tel := fleetTelemetry(0, pw, classes, false, 6)
+	tel := fleetTelemetry(0, pw, overloadAccount{}, classes, false, 6)
 	if tel.TotalNodes != 6 || tel.ActiveNodes != 3 || tel.ParkedNodes != 2 || tel.DownNodes != 1 {
 		t.Errorf("counts total/active/parked/down = %d/%d/%d/%d, want 6/3/2/1",
 			tel.TotalNodes, tel.ActiveNodes, tel.ParkedNodes, tel.DownNodes)
@@ -317,7 +317,7 @@ func TestFleetTelemetryWeightedFolds(t *testing.T) {
 		t.Errorf("per-node flags wrong: %+v", tel.Nodes[3:])
 	}
 	// Compact mode: identical fleet aggregates, no per-node detail.
-	ctel := fleetTelemetry(0, pw, classes, true, 6)
+	ctel := fleetTelemetry(0, pw, overloadAccount{}, classes, true, 6)
 	if ctel.Nodes != nil {
 		t.Error("compact telemetry materialized per-node samples")
 	}

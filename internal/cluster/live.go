@@ -39,12 +39,17 @@ type Live struct {
 	// disabled): every epoch admits against its active set at step time.
 	adm *admission
 
-	classes  []*liveClass
-	realized []epochWindow
-	targets  []int
-	forced   []bool
-	tels     []FleetTelemetry
-	epoch    int
+	classes []*liveClass
+	hist    []epochRecord
+}
+
+// epochRecord is one completed epoch: its active-node target, whether
+// StepTarget forced it, and the fleet telemetry it produced — the one
+// record Result, Fork, Snapshot and the controller rebuild read.
+type epochRecord struct {
+	target int
+	forced bool
+	tel    FleetTelemetry
 }
 
 // NewLive builds the steppable fleet for the scenario config: the epoch
@@ -89,25 +94,23 @@ func (l *Live) fleetInfo() FleetInfo {
 // Epochs returns the plan length; Epoch the number already completed;
 // Done whether the scenario has run out of schedule.
 func (l *Live) Epochs() int { return len(l.plan) }
-func (l *Live) Epoch() int  { return l.epoch }
-func (l *Live) Done() bool  { return l.epoch >= len(l.plan) }
+func (l *Live) Epoch() int  { return len(l.hist) }
+func (l *Live) Done() bool  { return len(l.hist) >= len(l.plan) }
 
 // Clock returns the fleet's simulated position: the end of the last
 // completed epoch.
 func (l *Live) Clock() sim.Time {
-	if l.epoch == 0 {
-		return 0
-	}
-	return l.realized[l.epoch-1].end
+	tel, _ := l.Telemetry()
+	return tel.End
 }
 
 // Telemetry returns the last completed epoch's fleet sample; ok is
 // false before the first Step.
 func (l *Live) Telemetry() (FleetTelemetry, bool) {
-	if l.epoch == 0 {
+	if len(l.hist) == 0 {
 		return FleetTelemetry{}, false
 	}
-	return l.tels[l.epoch-1], true
+	return l.hist[len(l.hist)-1].tel, true
 }
 
 // History returns a copy of the fleet samples for every completed
@@ -115,8 +118,10 @@ func (l *Live) Telemetry() (FleetTelemetry, bool) {
 // after attaching mid-run (or after a restore, whose re-stepped epochs
 // land here exactly as the original run recorded them).
 func (l *Live) History() []FleetTelemetry {
-	out := make([]FleetTelemetry, l.epoch)
-	copy(out, l.tels[:l.epoch])
+	out := make([]FleetTelemetry, len(l.hist))
+	for e := range l.hist {
+		out[e] = l.hist[e].tel
+	}
 	return out
 }
 
@@ -143,7 +148,7 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	if l.Done() {
 		return FleetTelemetry{}, fmt.Errorf("cluster: live scenario finished (all %d epochs stepped)", len(l.plan))
 	}
-	e := l.epoch
+	e := len(l.hist)
 	pw := l.plan[e]
 	var frow []runner.Fault
 	if l.faults != nil {
@@ -158,7 +163,7 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 	case l.ctrl != nil && e > 0:
 		// The controller decides against the finished epoch's telemetry:
 		// one full epoch of lag, the honest feedback regime.
-		target = clampTarget(l.ctrl.Observe(l.tels[e-1]), len(l.c.Nodes))
+		target = clampTarget(l.ctrl.Observe(l.hist[e-1].tel), len(l.c.Nodes))
 	}
 	up := activeSet(l.c, target, frow)
 	// Admission runs against the active set's capacity, so a
@@ -179,72 +184,45 @@ func (l *Live) step(forcedTarget int, force bool) (FleetTelemetry, error) {
 		}
 	}
 
-	realized := pw
-	realized.rates = rates
-	realized.overloadAccount = acct
 	l.classes = splitByRate(l.classes, rates, frow)
 	if err := stepClasses(l.classes, pw.end-pw.start, l.c.ParkDrained, l.r); err != nil {
 		return FleetTelemetry{}, err
 	}
-	tel := fleetTelemetry(e, realized, l.classes, l.c.CompactNodes, len(l.c.Nodes))
-
-	l.realized = append(l.realized, realized)
-	l.targets = append(l.targets, target)
-	l.forced = append(l.forced, force)
-	l.tels = append(l.tels, tel)
-	l.epoch++
+	tel := fleetTelemetry(e, pw, acct, l.classes, l.c.CompactNodes, len(l.c.Nodes))
+	l.hist = append(l.hist, epochRecord{target: target, forced: force, tel: tel})
 	return tel, nil
 }
 
-// Result packages the epochs completed so far: the live classes, in
-// first-member order, become timeline classes over their realized
-// timelines, replicas add seeded error bars, and park/restart
-// bookkeeping and per-epoch/per-phase aggregation follow. A Live
-// stepped to completion returns exactly RunScenario's result.
+// Result packages the epochs completed so far straight from the live
+// record: the live classes, in first-member order, with their realized
+// intervals and measurements; replicas of each class add seeded error
+// bars; each epoch's header comes from its recorded telemetry, and
+// park/restart bookkeeping and per-epoch/per-phase aggregation follow.
+// A Live stepped to completion returns exactly RunScenario's result.
 func (l *Live) Result() (ScenarioResult, error) {
-	if l.epoch == 0 {
+	if len(l.hist) == 0 {
 		return ScenarioResult{}, fmt.Errorf("cluster: live scenario has no completed epochs to report")
 	}
 	out := ScenarioResult{
-		Schedule:  l.c.Schedule.Name(),
-		Dispatch:  l.c.Dispatch,
-		Epoch:     l.c.Epoch,
-		TotalTime: l.c.total,
-		Overload:  l.c.Overload.Policy,
+		Schedule:   l.c.Schedule.Name(),
+		Dispatch:   l.c.Dispatch,
+		Epoch:      l.c.Epoch,
+		TotalTime:  l.c.total,
+		Overload:   l.c.Overload.Policy,
+		Controller: l.c.Controller.displayName(),
 	}
-	realized := l.realized[:l.epoch]
 	classes := append([]*liveClass(nil), l.classes...)
 	sort.Slice(classes, func(i, j int) bool { return classes[i].rep < classes[j].rep })
-	tclasses := make([]timelineClass, len(classes))
-	for ci, cl := range classes {
-		tclasses[ci] = timelineClass{
-			rep:     cl.rep,
-			members: cl.members,
-			spec:    runner.TimelineSpec{Node: cl.node, Park: l.c.ParkDrained, Intervals: cl.intervals},
-			results: make([][]server.IntervalResult, l.c.Replicas+1),
-		}
-		tclasses[ci].results[0] = cl.results
+	runs, err := runReplicas(classes, l.c.Replicas, l.c.ParkDrained, l.r)
+	if err != nil {
+		return ScenarioResult{}, err
 	}
-	out.Classes = len(tclasses)
-	out.ReplicaRuns = len(tclasses) * l.c.Replicas
-	if l.c.Replicas > 0 {
-		if err := runReplicas(tclasses, l.c.Replicas, l.r); err != nil {
-			return ScenarioResult{}, err
-		}
-	}
-	epochResults(l.c, realized, tclasses, &out)
-	out.CI = scenarioClassCI(tclasses, realized, l.c.Replicas)
-	if l.c.Controller.enabled() {
-		out.Controller = l.c.Controller.displayName()
-		prev := -1
-		for e := range out.Epochs {
-			out.Epochs[e].TargetNodes = l.targets[e]
-			if prev >= 0 && l.targets[e] != prev {
-				out.ControllerChanges++
-			}
-			prev = l.targets[e]
-		}
-	}
+	out.Classes = len(classes)
+	out.ReplicaRuns = len(classes) * l.c.Replicas
+	l.epochResults(classes, runs, &out)
+	out.CI = replicaCI(classes, runs, 0, len(l.hist), func(e int) float64 {
+		return float64(l.hist[e].tel.End-l.hist[e].tel.Start) / 1e9
+	})
 	out.finish()
 	return out, nil
 }
@@ -259,16 +237,12 @@ func (l *Live) Result() (ScenarioResult, error) {
 // live fleet is never disturbed.
 func (l *Live) Fork() *Live {
 	n := &Live{
-		c:        l.c,
-		part:     l.part,
-		r:        l.r,
-		plan:     l.plan,
-		faults:   l.faults,
-		realized: append([]epochWindow(nil), l.realized...),
-		targets:  append([]int(nil), l.targets...),
-		forced:   append([]bool(nil), l.forced...),
-		tels:     append([]FleetTelemetry(nil), l.tels...),
-		epoch:    l.epoch,
+		c:      l.c,
+		part:   l.part,
+		r:      l.r,
+		plan:   l.plan,
+		faults: l.faults,
+		hist:   append([]epochRecord(nil), l.hist...),
 	}
 	if l.adm != nil {
 		admCopy := *l.adm
@@ -300,9 +274,9 @@ func (l *Live) rebuildController() Controller {
 	if ctrl == nil {
 		return nil
 	}
-	for e := 1; e < l.epoch; e++ {
-		if !l.forced[e] {
-			ctrl.Observe(l.tels[e-1])
+	for e := 1; e < len(l.hist); e++ {
+		if !l.hist[e].forced {
+			ctrl.Observe(l.hist[e-1].tel)
 		}
 	}
 	return ctrl
@@ -353,10 +327,10 @@ func (l *Live) Snapshot() ([]byte, error) {
 	e.F64(l.c.Overload.MaxBacklogSec)
 
 	// Decision history.
-	e.I64(int64(l.epoch))
-	for i := 0; i < l.epoch; i++ {
-		e.I64(int64(l.targets[i]))
-		e.Bool(l.forced[i])
+	e.I64(int64(len(l.hist)))
+	for _, h := range l.hist {
+		e.I64(int64(h.target))
+		e.Bool(h.forced)
 	}
 
 	// Per-class verification block.
@@ -475,9 +449,9 @@ func RestoreLive(cfg ScenarioConfig, data []byte) (*Live, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: restore: replay epoch %d: %w", e, err)
 		}
-		if l.targets[e] != targets[e] {
+		if got := l.hist[e].target; got != targets[e] {
 			return nil, fmt.Errorf("cluster: restore: replay epoch %d chose target %d, checkpoint recorded %d (simulator changed since capture?)",
-				e, l.targets[e], targets[e])
+				e, got, targets[e])
 		}
 	}
 

@@ -304,17 +304,14 @@ func (c ScenarioConfig) Validate() error {
 	return err
 }
 
-// epochWindow is one re-dispatch interval: its schedule window, mean
-// rate and covering phase. Plan windows carry only those, which depend
-// on the schedule alone; the realized window Live.step records adds the
-// per-node rate partition it routed and its admission account (all zero
-// when admission control is disabled).
+// epochWindow is one re-dispatch interval of the plan: its schedule
+// window, mean rate and covering phase, which depend on the schedule
+// alone. What an epoch realized (routed rates, admission outcome) lives
+// in the live classes' intervals and the epoch's recorded telemetry.
 type epochWindow struct {
 	start, end sim.Time
 	rate       float64
 	phase      string
-	rates      []float64
-	overloadAccount
 }
 
 // planEpochs partitions the schedule into epoch windows, each with its
@@ -376,31 +373,34 @@ func RunScenario(cfg ScenarioConfig) (ScenarioResult, error) {
 	return res, nil
 }
 
-// newEpochResult seeds an epoch's result from its window, carrying the
-// window's admission account (all zero when overload control is off).
-func newEpochResult(e int, pw epochWindow) EpochResult {
-	ep := EpochResult{
-		Epoch: e, Start: pw.start, End: pw.end, Phase: pw.phase, RateQPS: pw.rate,
-		Saturated: pw.saturated, SheddedRequests: pw.shedded,
-	}
-	if pw.backlogReq > 0 {
-		ep.BacklogRate = pw.backlogReq / (float64(pw.end-pw.start) / 1e9)
-	}
-	return ep
-}
-
-// epochResults builds every epoch's fleet result from the class
-// measurements. By default each node's NodeResult is materialized from
-// its class representative; with CompactNodes park bookkeeping and
-// fleet aggregation run class-weighted in O(classes) per epoch and
+// epochResults builds every completed epoch's fleet result from the
+// class measurements, seeding each from the epoch's recorded telemetry
+// (window, offered rate, admission account) and the plan's phase. By
+// default each node's NodeResult is materialized from its class
+// representative; with CompactNodes park bookkeeping and fleet
+// aggregation run class-weighted in O(classes) per epoch and
 // EpochResult.Fleet.Nodes stays nil — what makes a 100K-node fleet a
 // few-classes problem instead of a 2.4M-NodeResult problem. Every class
 // member shares its representative's rate, park and fault history by
 // construction, so the weighted counts are exact, not approximations.
-func epochResults(c resolvedScenario, plan []epochWindow, classes []timelineClass, out *ScenarioResult) {
+// With a controller, each epoch also carries its target and target
+// changes are counted.
+func (l *Live) epochResults(classes []*liveClass, runs [][][]server.IntervalResult, out *ScenarioResult) {
+	c := l.c
 	parked := make([]bool, len(classes))
-	for e, pw := range plan {
-		ep := newEpochResult(e, pw)
+	for e := range l.hist {
+		h := &l.hist[e]
+		tel := &h.tel
+		ep := EpochResult{
+			Epoch: e, Start: tel.Start, End: tel.End, Phase: l.plan[e].phase, RateQPS: tel.OfferedQPS,
+			Saturated: tel.Saturated, SheddedRequests: tel.SheddedRequests, BacklogRate: tel.BacklogRate,
+		}
+		if out.Controller != "" {
+			ep.TargetNodes = h.target
+			if e > 0 && h.target != l.hist[e-1].target {
+				out.ControllerChanges++
+			}
+		}
 		var nodes []NodeResult
 		var mults []int
 		if c.CompactNodes {
@@ -409,11 +409,11 @@ func epochResults(c resolvedScenario, plan []epochWindow, classes []timelineClas
 		} else {
 			nodes = make([]NodeResult, len(c.Nodes))
 		}
-		for ci := range classes {
-			cl := &classes[ci]
-			iv := cl.results[0][e]
+		for ci, cl := range classes {
+			iv := cl.results[e]
+			rate := cl.intervals[e].Rate
 			m := len(cl.members)
-			rep := NodeResult{Node: cl.rep, RateQPS: pw.rates[cl.rep], Parked: iv.Parked, Result: iv.Result}
+			rep := NodeResult{Node: cl.rep, RateQPS: rate, Parked: iv.Parked, Result: iv.Result}
 			if c.CompactNodes {
 				nodes[ci], mults[ci] = rep, m
 			} else {
@@ -431,18 +431,18 @@ func epochResults(c resolvedScenario, plan []epochWindow, classes []timelineClas
 			if iv.Restarted {
 				ep.Restarted += m
 			}
-			if parked[ci] && pw.rates[cl.rep] > 0 {
+			if parked[ci] && rate > 0 {
 				ep.Unparked += m
 			}
 			parked[ci] = iv.Parked
 		}
 		if c.CompactNodes {
-			ep.Fleet = aggregateWeighted(c.fleetConfig(pw.rate), nodes, mults)
+			ep.Fleet = aggregateWeighted(c.fleetConfig(ep.RateQPS), nodes, mults)
 		} else {
-			ep.Fleet = aggregate(c.fleetConfig(pw.rate), nodes)
+			ep.Fleet = aggregate(c.fleetConfig(ep.RateQPS), nodes)
 		}
-		applyRestartPenalty(c, &ep, pw.end-pw.start)
-		ep.CI = epochClassCI(classes, e, c.Replicas)
+		applyRestartPenalty(c, &ep, ep.End-ep.Start)
+		ep.CI = replicaCI(classes, runs, e, e+1, func(int) float64 { return 1 })
 		out.Epochs = append(out.Epochs, ep)
 		out.ParkedTimeline = append(out.ParkedTimeline, ep.Parked)
 		out.Unparks += ep.Unparked

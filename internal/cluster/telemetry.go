@@ -109,21 +109,22 @@ func nodeTelemetry(node int, rate float64, iv *server.IntervalResult, live int) 
 }
 
 // fleetTelemetry folds per-class epoch measurements into the fleet
-// sample a controller observes. Classes are weighted by multiplicity,
+// sample a controller observes, headed by the plan window and the
+// epoch's admission account. Classes are weighted by multiplicity,
 // so the aggregation cost is O(classes) — compact fleets never pay
 // O(nodes) for telemetry.
-func fleetTelemetry(epoch int, pw epochWindow, classes []*liveClass, compact bool, totalNodes int) FleetTelemetry {
+func fleetTelemetry(epoch int, pw epochWindow, acct overloadAccount, classes []*liveClass, compact bool, totalNodes int) FleetTelemetry {
 	t := FleetTelemetry{
 		Epoch:           epoch,
 		Start:           pw.start,
 		End:             pw.end,
 		OfferedQPS:      pw.rate,
 		TotalNodes:      totalNodes,
-		Saturated:       pw.saturated,
-		SheddedRequests: pw.shedded,
+		Saturated:       acct.saturated,
+		SheddedRequests: acct.shedded,
 	}
-	if pw.backlogReq > 0 {
-		t.BacklogRate = pw.backlogReq / (float64(pw.end-pw.start) / 1e9)
+	if acct.backlogReq > 0 {
+		t.BacklogRate = acct.backlogReq / (float64(pw.end-pw.start) / 1e9)
 	}
 	var utilSum, depthSum float64 // over active nodes
 	for _, cl := range classes {
